@@ -3,8 +3,8 @@
 // A delta-capable target tracks which chunks of its architectural state
 // changed since its last *sync point* and can ship / accept just those
 // chunks (sim::StateDelta) instead of the full state. The symbolic
-// executor and the fuzzer discover the capability via dynamic_cast (same
-// pattern as SlotSnapshotter) and fall back to full SaveState/RestoreState
+// executor and the fuzzer use it through snapshot::HwStateTracker, which
+// discovers the capability and falls back to full SaveState/RestoreState
 // when it is absent or when no usable base exists.
 //
 // Sync-point contract (mirrors sim::Simulator's): SaveStateDelta and

@@ -3,9 +3,10 @@
 // The paper's FPGA snapshot controller stores snapshots in on-fabric SRAM
 // "for performance reasons": a hardware context switch then never crosses
 // the host link. Targets that can hold snapshots device-side implement
-// this interface; the symbolic executor discovers it via dynamic_cast and
-// keeps per-state snapshots resident (ExecOptions::use_device_slots),
-// falling back to host-side storage when slots run out.
+// this interface; the symbolic executor's snapshot::HwStateTracker
+// discovers it and keeps per-state snapshots resident
+// (ExecOptions::use_device_slots), falling back to host-side storage when
+// slots run out.
 #pragma once
 
 #include "common/status.h"

@@ -1,6 +1,30 @@
 #include "campaign/shared_corpus.h"
 
+#include <algorithm>
+#include <tuple>
+
 namespace hardsnap::campaign {
+
+bool FindingBefore(const CampaignFinding& a, const CampaignFinding& b) {
+  return std::tie(a.execs_at_find, a.worker, a.crash.input, a.crash.pc) <
+         std::tie(b.execs_at_find, b.worker, b.crash.input, b.crash.pc);
+}
+
+bool MergeFinding(std::vector<CampaignFinding>* findings,
+                  CampaignFinding finding) {
+  auto same_pc = std::find_if(
+      findings->begin(), findings->end(),
+      [&](const CampaignFinding& f) { return f.crash.pc == finding.crash.pc; });
+  const bool fresh = same_pc == findings->end();
+  if (!fresh) {
+    if (!FindingBefore(finding, *same_pc)) return false;
+    findings->erase(same_pc);
+  }
+  auto at = std::upper_bound(findings->begin(), findings->end(), finding,
+                             FindingBefore);
+  findings->insert(at, std::move(finding));
+  return fresh;
+}
 
 size_t SharedCorpus::MergeEdges(const std::set<uint64_t>& edges,
                                 std::vector<uint64_t>* fresh) {
@@ -24,9 +48,7 @@ void SharedCorpus::OfferInput(unsigned worker,
 
 bool SharedCorpus::ReportCrash(CampaignFinding finding) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!crash_pcs_.insert(finding.crash.pc).second) return false;
-  findings_.push_back(std::move(finding));
-  return true;
+  return MergeFinding(&findings_, std::move(finding));
 }
 
 std::vector<std::vector<uint8_t>> SharedCorpus::TakeNewInputs(
@@ -67,12 +89,8 @@ void SharedCorpus::Restore(
     if (!seen_inputs_.insert(input).second) continue;
     offers_.push_back({worker, input});
   }
-  crash_pcs_.clear();
   findings_.clear();
-  for (const CampaignFinding& f : findings) {
-    if (!crash_pcs_.insert(f.crash.pc).second) continue;
-    findings_.push_back(f);
-  }
+  for (const CampaignFinding& f : findings) MergeFinding(&findings_, f);
 }
 
 }  // namespace hardsnap::campaign

@@ -42,6 +42,18 @@ struct CampaignFinding {
   uint64_t execs_at_find = 0;
 };
 
+// The order findings are kept and reported in: (execs_at_find, worker,
+// input, pc). It depends only on what each worker found, never on which
+// thread reached the corpus first, so a pc found by several workers is
+// credited to the same one in every run.
+bool FindingBefore(const CampaignFinding& a, const CampaignFinding& b);
+
+// Add `finding` to `findings` (sorted by FindingBefore, one per pc): a
+// new pc is inserted in order; a known pc is replaced when `finding`
+// comes before the kept one. Returns true iff the pc was new.
+bool MergeFinding(std::vector<CampaignFinding>* findings,
+                  CampaignFinding finding);
+
 class SharedCorpus {
  public:
   // Union `edges` into the global coverage map; returns how many were
@@ -56,8 +68,8 @@ class SharedCorpus {
   // TakeNewInputs.
   void OfferInput(unsigned worker, const std::vector<uint8_t>& input);
 
-  // Record a crash; returns true iff its faulting pc was globally new
-  // (the finding was appended).
+  // Record a crash (MergeFinding); returns true iff its faulting pc was
+  // globally new.
   bool ReportCrash(CampaignFinding finding);
 
   // Inputs offered by OTHER workers since this worker's last call.
@@ -71,8 +83,8 @@ class SharedCorpus {
 
   // Seed the corpus from a recovered durable image (campaign resume).
   // Replaces the current contents; must be called before workers start.
-  // Offer/finding order is preserved so a resumed campaign reports
-  // findings in the same order as an uninterrupted one.
+  // Offer order is preserved and findings are merged by MergeFinding, so
+  // a resumed campaign reports the uninterrupted run's findings.
   void Restore(
       const std::set<uint64_t>& edges,
       const std::vector<std::pair<unsigned, std::vector<uint8_t>>>& offers,
@@ -88,7 +100,6 @@ class SharedCorpus {
   std::set<uint64_t> edges_;
   std::set<std::vector<uint8_t>> seen_inputs_;
   std::vector<Offer> offers_;
-  std::set<uint32_t> crash_pcs_;
   std::vector<CampaignFinding> findings_;
 };
 

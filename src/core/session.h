@@ -39,8 +39,8 @@ namespace hardsnap::core {
 // HardwareTarget proxy that always forwards to the orchestrator's active
 // target, so the executor transparently follows MoveToTarget() calls.
 // Forwards the DeltaSnapshotter capability too — without this the
-// executor's dynamic_cast sees only the proxy and every context switch
-// silently pays the full-copy price.
+// capability lookup in snapshot::HwStateTracker sees only the proxy and
+// every context switch silently pays the full-copy price.
 //
 // The proxy is also where mid-analysis failover happens: when an operation
 // fails because the active target's link died (IsInfrastructureFailure),

@@ -9,7 +9,7 @@ FpgaTarget::FpgaTarget(std::unique_ptr<scanchain::InstrumentedDesign> inst,
     : options_(options),
       inst_(std::move(inst)),
       link_(options.channel, options.link) {
-  sram_.resize(options_.sram_slots);
+  sram_.resize(options_.sram_slots + 1);  // + the staging buffer
 }
 
 Result<std::unique_ptr<FpgaTarget>> FpgaTarget::Create(
@@ -129,7 +129,11 @@ Duration FpgaTarget::ReadbackCost() const {
 }
 
 Status FpgaTarget::SaveToSlot(unsigned slot) {
-  if (slot >= sram_.size()) return OutOfRange("no such SRAM slot");
+  if (slot >= num_slots()) return OutOfRange("no such SRAM slot");
+  return ScanToSram(slot);
+}
+
+Status FpgaTarget::ScanToSram(unsigned index) {
   // The scan pass itself is on-fabric; what crosses the link is the
   // controller command exchange. The pass (and the SRAM write) only
   // happens if the command actually reaches the device.
@@ -139,7 +143,7 @@ Status FpgaTarget::SaveToSlot(unsigned slot) {
       [&]() -> Status {
         auto state = scan_->Save();
         if (!state.ok()) return state.status();
-        sram_[slot] =
+        sram_[index] =
             std::make_unique<HardwareState>(std::move(state).value());
         return Status::Ok();
       },
@@ -153,13 +157,17 @@ Status FpgaTarget::SaveToSlot(unsigned slot) {
 }
 
 Status FpgaTarget::RestoreFromSlot(unsigned slot) {
-  if (slot >= sram_.size()) return OutOfRange("no such SRAM slot");
-  if (!sram_[slot]) return FailedPrecondition("SRAM slot is empty");
+  if (slot >= num_slots()) return OutOfRange("no such SRAM slot");
+  return ScanFromSram(slot);
+}
+
+Status FpgaTarget::ScanFromSram(unsigned index) {
+  if (!sram_[index]) return FailedPrecondition("SRAM slot is empty");
   Duration cost;
   Status s = link_.Bulk(
       ScanPassCost(),
       [&]() -> Status {
-        HS_RETURN_IF_ERROR(scan_->Restore(*sram_[slot]));
+        HS_RETURN_IF_ERROR(scan_->Restore(*sram_[index]));
         mirror_valid_ = false;  // on-fabric load: host never saw these bits
         return Status::Ok();
       },
@@ -173,7 +181,7 @@ Status FpgaTarget::RestoreFromSlot(unsigned slot) {
 }
 
 Status FpgaTarget::SwapWithSlot(unsigned slot) {
-  if (slot >= sram_.size()) return OutOfRange("no such SRAM slot");
+  if (slot >= num_slots()) return OutOfRange("no such SRAM slot");
   if (!sram_[slot]) return FailedPrecondition("SRAM slot is empty");
   Duration cost;
   Status s = link_.Bulk(
@@ -196,12 +204,16 @@ Status FpgaTarget::SwapWithSlot(unsigned slot) {
 }
 
 bool FpgaTarget::SlotOccupied(unsigned slot) const {
-  return slot < sram_.size() && sram_[slot] != nullptr;
+  return slot < num_slots() && sram_[slot] != nullptr;
 }
 
 Result<HardwareState> FpgaTarget::DownloadSlot(unsigned slot) {
-  if (slot >= sram_.size()) return OutOfRange("no such SRAM slot");
-  if (!sram_[slot]) return FailedPrecondition("SRAM slot is empty");
+  if (slot >= num_slots()) return OutOfRange("no such SRAM slot");
+  return Download(slot);
+}
+
+Result<HardwareState> FpgaTarget::Download(unsigned index) {
+  if (!sram_[index]) return FailedPrecondition("SRAM slot is empty");
   Duration cost;
   Status s =
       link_.Bulk(BulkTransferCost(), [] { return Status::Ok(); }, &cost);
@@ -209,18 +221,22 @@ Result<HardwareState> FpgaTarget::DownloadSlot(unsigned slot) {
   stats_.snapshot_time += cost;
   SyncLinkStats();
   if (!s.ok()) return s;
-  stats_.snapshot_bytes_copied += sim::StateWords(*sram_[slot]) * 8;
-  return *sram_[slot];
+  stats_.snapshot_bytes_copied += sim::StateWords(*sram_[index]) * 8;
+  return *sram_[index];
 }
 
 Status FpgaTarget::UploadSlot(unsigned slot, const HardwareState& state) {
-  if (slot >= sram_.size()) return OutOfRange("no such SRAM slot");
+  if (slot >= num_slots()) return OutOfRange("no such SRAM slot");
+  return Upload(slot, state);
+}
+
+Status FpgaTarget::Upload(unsigned index, const HardwareState& state) {
   // The slot only takes the new content once the upload survives the link.
   Duration cost;
   Status s = link_.Bulk(
       BulkTransferCost(),
       [&] {
-        sram_[slot] = std::make_unique<HardwareState>(state);
+        sram_[index] = std::make_unique<HardwareState>(state);
         return Status::Ok();
       },
       &cost);
@@ -233,8 +249,8 @@ Status FpgaTarget::UploadSlot(unsigned slot, const HardwareState& state) {
 }
 
 Result<HardwareState> FpgaTarget::SaveState() {
-  HS_RETURN_IF_ERROR(SaveToSlot(0));
-  auto state = DownloadSlot(0);
+  HS_RETURN_IF_ERROR(ScanToSram(staging()));
+  auto state = Download(staging());
   if (state.ok()) {
     mirror_ = state.value();
     mirror_valid_ = true;  // full download is a sync point for the delta path
@@ -243,8 +259,8 @@ Result<HardwareState> FpgaTarget::SaveState() {
 }
 
 Status FpgaTarget::RestoreState(const HardwareState& state) {
-  HS_RETURN_IF_ERROR(UploadSlot(0, state));
-  HS_RETURN_IF_ERROR(RestoreFromSlot(0));
+  HS_RETURN_IF_ERROR(Upload(staging(), state));
+  HS_RETURN_IF_ERROR(ScanFromSram(staging()));
   mirror_ = state;  // full upload is a sync point for the delta path
   mirror_valid_ = true;
   return Status::Ok();

@@ -150,7 +150,15 @@ class FpgaTarget : public bus::HardwareTarget,
   std::unique_ptr<bus::SocBusDriver> driver_;
   std::unique_ptr<scanchain::ScanController> scan_;
   bus::FramedLink link_;
+  // SRAM slots [0, sram_slots), then one private staging buffer that
+  // full host transfers pass through, so SaveState / RestoreState never
+  // clobber a slot the executor holds a snapshot in.
   std::vector<std::unique_ptr<sim::HardwareState>> sram_;
+  unsigned staging() const { return options_.sram_slots; }
+  Status ScanToSram(unsigned index);
+  Status ScanFromSram(unsigned index);
+  Result<sim::HardwareState> Download(unsigned index);
+  Status Upload(unsigned index, const sim::HardwareState& state);
   // Host-side mirror of the architectural state at the last full-transfer
   // sync point (what the delta path diffs against). Invalidated whenever
   // the live state moves without crossing the host link.

@@ -26,11 +26,20 @@ Fuzzer::Fuzzer(bus::HardwareTarget* target, const vm::FirmwareImage& image,
       image_(image),
       options_(options),
       rng_(options.seed),
-      cpu_(target, options.cycles_per_instruction) {
+      cpu_(target, options.cycles_per_instruction),
+      hw_(target, /*use_device_slots=*/false, options.use_delta_snapshots) {
   HS_CHECK(cpu_.LoadFirmware(image_).ok());
   corpus_.push_back(std::vector<uint8_t>(options_.input_size, 0));
-  if (options_.use_delta_snapshots)
-    delta_ = dynamic_cast<bus::DeltaSnapshotter*>(target);
+}
+
+const sim::HardwareState& Fuzzer::harness_state() const {
+  static const sim::HardwareState kNone;
+  auto snap = hw_.store().Get(harness_.snapshot);
+  return snap.ok() ? snap.value()->state : kNone;
+}
+
+uint64_t Fuzzer::harness_hash() const {
+  return hw_.store().ContentHash(harness_.snapshot).value_or(0);
 }
 
 void Fuzzer::ImportCorpus(const std::vector<std::vector<uint8_t>>& inputs) {
@@ -52,10 +61,7 @@ Status Fuzzer::PrepareSnapshot() {
           out.reason);
   }
   sw_snapshot_ = cpu_.SnapshotSoftware();
-  auto hw = target_->SaveState();  // sync point: base for delta resets
-  if (!hw.ok()) return hw.status();
-  hw_snapshot_ = std::move(hw).value();
-  hw_snapshot_hash_ = sim::HashState(hw_snapshot_);
+  HS_RETURN_IF_ERROR(hw_.Save(&harness_));
   snapshot_ready_ = true;
   return Status::Ok();
 }
@@ -70,19 +76,10 @@ Status Fuzzer::ResetForNextExec() {
   const Duration before = target_->clock().now();
   if (options_.reset == ResetStrategy::kSnapshotReset) {
     cpu_.RestoreSoftware(sw_snapshot_);
-    bool restored = false;
-    if (delta_) {
-      // The harness snapshot IS the sync point, so an empty delta means
-      // "revert whatever the execution dirtied" — O(dirty) on targets
-      // with change tracking.
-      sim::StateDelta revert = sim::EmptyDeltaFor(hw_snapshot_);
-      revert.base_hash = hw_snapshot_hash_;
-      if (delta_->RestoreStateDelta(revert).ok()) {
-        ++stats_.delta_restores;
-        restored = true;
-      }
-    }
-    if (!restored) HS_RETURN_IF_ERROR(target_->RestoreState(hw_snapshot_));
+    auto rung = hw_.Restore(harness_);
+    if (!rung.ok()) return rung.status();
+    if (rung.value() == snapshot::HwStateTracker::Rung::kRevert)
+      ++stats_.delta_restores;
     ++stats_.snapshot_restores;
   } else {
     // Full reboot: power-cycle the device, re-run firmware init.

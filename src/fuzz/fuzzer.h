@@ -26,11 +26,11 @@
 #include <string>
 #include <vector>
 
-#include "bus/delta_support.h"
 #include "bus/target.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/virtual_clock.h"
+#include "snapshot/hw_state_tracker.h"
 #include "vm/cpu.h"
 
 namespace hardsnap::fuzz {
@@ -118,8 +118,8 @@ class Fuzzer {
   bool snapshot_ready() const { return snapshot_ready_; }
   // Harness-point hardware state and its content hash (valid only once
   // snapshot_ready(); kSnapshotReset strategy).
-  const sim::HardwareState& harness_state() const { return hw_snapshot_; }
-  uint64_t harness_hash() const { return hw_snapshot_hash_; }
+  const sim::HardwareState& harness_state() const;
+  uint64_t harness_hash() const;
 
   // Adopt inputs found by other campaign workers as mutation parents.
   // Empty inputs are skipped. NOTE: imports change which parents the local
@@ -134,8 +134,6 @@ class Fuzzer {
   std::vector<uint8_t> Mutate(const std::vector<uint8_t>& parent);
 
   bus::HardwareTarget* target_;
-  bus::DeltaSnapshotter* delta_ = nullptr;  // non-null if the target does
-                                            // incremental snapshots
   vm::FirmwareImage image_;
   FuzzOptions options_;
   Rng rng_;
@@ -143,8 +141,10 @@ class Fuzzer {
   vm::Cpu cpu_;
   bool snapshot_ready_ = false;
   vm::CpuState sw_snapshot_;
-  sim::HardwareState hw_snapshot_;
-  uint64_t hw_snapshot_hash_ = 0;  // delta reset base-hash check
+  // The harness snapshot is the tracker's live base, so each reset is an
+  // empty-delta revert when the target tracks dirty chunks.
+  snapshot::HwStateTracker hw_;
+  snapshot::HwHandle harness_;
 
   std::vector<std::vector<uint8_t>> corpus_;
   std::set<uint64_t> edges_;          // hashed (from, to) control-flow edges

@@ -303,7 +303,6 @@ Result<CampaignDurableState> DeserializeCheckpoint(
   if (!nfindings.ok()) return nfindings.status();
   for (uint32_t i = 0; i < nfindings.value(); ++i) {
     HS_ASSIGN_OR_RETURN(campaign::CampaignFinding f, GetFinding(&r));
-    state.finding_pcs.insert(f.crash.pc);
     state.findings.push_back(std::move(f));
   }
   HS_ASSIGN_OR_RETURN(state.store_blob, GetByteVector(&r));
@@ -374,7 +373,8 @@ Status ApplyRecord(const std::vector<uint8_t>& record,
         findings.push_back(std::move(f));
       }
       if (!r.AtEnd()) return InvalidArgument("trailing bytes in ack record");
-      // Idempotent fold: progress is a max, everything else dedups.
+      // Idempotent fold: progress is a max, findings merge by MergeFinding
+      // (the live SharedCorpus rule), everything else dedups.
       if (done.value() >= state->worker_done[worker.value()]) {
         state->worker_done[worker.value()] = done.value();
         state->worker_rng_digest[worker.value()] = rng.value();
@@ -384,8 +384,7 @@ Status ApplyRecord(const std::vector<uint8_t>& record,
         if (state->seen_inputs.insert(input).second)
           state->offers.push_back({worker.value(), std::move(input)});
       for (auto& finding : findings)
-        if (state->finding_pcs.insert(finding.crash.pc).second)
-          state->findings.push_back(std::move(finding));
+        campaign::MergeFinding(&state->findings, std::move(finding));
       return Status::Ok();
     }
     case kRecordSymexReport: {

@@ -57,7 +57,6 @@ struct CampaignDurableState {
   std::vector<DurableOffer> offers;
   std::set<std::vector<uint8_t>> seen_inputs;     // offer dedup (derived)
   std::vector<campaign::CampaignFinding> findings;
-  std::set<uint32_t> finding_pcs;                 // finding dedup (derived)
   std::vector<uint8_t> store_blob;          // serialized SnapshotStore
   std::map<uint32_t, symex::Report> symex_reports;  // completed workers
 };

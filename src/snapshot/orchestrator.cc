@@ -13,6 +13,26 @@ TargetOrchestrator::TargetOrchestrator(
   has_shipped_.assign(targets_.size(), false);
 }
 
+namespace {
+
+// The destination's side of one ship: verify and decode `blob`, then make
+// `mirror` the state it carries (a delta is applied to `mirror` in place).
+// A blob that fails to decode leaves `mirror` untouched.
+Status ReceiveBlob(const std::vector<uint8_t>& blob, bool is_delta,
+                   sim::HardwareState* mirror) {
+  if (is_delta) {
+    auto delta = DeserializeStateDelta(blob);
+    if (!delta.ok()) return delta.status();
+    return sim::ApplyDeltaToState(mirror, delta.value());
+  }
+  auto state = DeserializeState(blob);
+  if (!state.ok()) return state.status();
+  *mirror = std::move(state).value();
+  return Status::Ok();
+}
+
+}  // namespace
+
 std::vector<uint8_t> TargetOrchestrator::MaybeCorrupt(
     std::vector<uint8_t> blob) {
   if (migration_.blob_corrupt_rate > 0 && !blob.empty() &&
@@ -24,62 +44,34 @@ std::vector<uint8_t> TargetOrchestrator::MaybeCorrupt(
   return blob;
 }
 
-Status TargetOrchestrator::ShipFull(size_t index,
-                                    const sim::HardwareState& state,
-                                    uint64_t state_hash) {
-  Status last = Internal("ShipFull: no attempt ran");
+Status TargetOrchestrator::Ship(size_t index, const sim::HardwareState& state,
+                                const sim::StateDelta* delta,
+                                uint64_t state_hash) {
+  Status last = Internal("Ship: no attempt ran");
   for (uint32_t attempt = 0; attempt < migration_.max_ship_attempts;
        ++attempt) {
     if (attempt > 0) ++transfer_stats_.blob_retries;
-    const std::vector<uint8_t> blob = MaybeCorrupt(SerializeState(state));
+    const std::vector<uint8_t> blob = MaybeCorrupt(
+        delta ? SerializeStateDelta(*delta) : SerializeState(state));
     transfer_stats_.shipped_bytes += blob.size();
-    auto decoded = DeserializeState(blob);
-    if (!decoded.ok()) {
+    Status received = ReceiveBlob(blob, delta != nullptr,
+                                  &last_shipped_[index]);
+    if (!received.ok()) {
       // CRC (or structural validation) rejected the received copy: the
       // corrupt blob is quarantined, never restored. The source still
       // holds the intact state — re-serialize and re-send.
-      last = decoded.status();
+      last = received;
       if (IsTransientFailure(last.code())) continue;
       return last;
     }
-    Status restored = targets_[index]->RestoreState(decoded.value());
+    Status restored = targets_[index]->RestoreState(last_shipped_[index]);
     if (!restored.ok()) {
       // The destination may hold anything now; drop its delta base.
       InvalidateMirror(index);
       return restored;
     }
-    last_shipped_[index] = std::move(decoded).value();
     last_shipped_hash_[index] = state_hash;
     has_shipped_[index] = true;
-    return Status::Ok();
-  }
-  return last;
-}
-
-Status TargetOrchestrator::ShipDelta(size_t index,
-                                     const sim::StateDelta& delta,
-                                     uint64_t state_hash) {
-  Status last = Internal("ShipDelta: no attempt ran");
-  for (uint32_t attempt = 0; attempt < migration_.max_ship_attempts;
-       ++attempt) {
-    if (attempt > 0) ++transfer_stats_.blob_retries;
-    const std::vector<uint8_t> blob =
-        MaybeCorrupt(SerializeStateDelta(delta));
-    transfer_stats_.shipped_bytes += blob.size();
-    auto decoded = DeserializeStateDelta(blob);
-    if (!decoded.ok()) {
-      last = decoded.status();
-      if (IsTransientFailure(last.code())) continue;
-      return last;
-    }
-    HS_RETURN_IF_ERROR(
-        sim::ApplyDeltaToState(&last_shipped_[index], decoded.value()));
-    Status restored = targets_[index]->RestoreState(last_shipped_[index]);
-    if (!restored.ok()) {
-      InvalidateMirror(index);
-      return restored;
-    }
-    last_shipped_hash_[index] = state_hash;
     return Status::Ok();
   }
   return last;
@@ -109,7 +101,8 @@ Status TargetOrchestrator::MoveTo(size_t index) {
     if (dest_hash.ok() && dest_hash.value() == last_shipped_hash_[index]) {
       auto delta = sim::DiffStates(last_shipped_[index], state.value());
       if (delta.ok()) {
-        Status shipped = ShipDelta(index, delta.value(), state_hash);
+        Status shipped =
+            Ship(index, state.value(), &delta.value(), state_hash);
         if (shipped.ok()) {
           last_shipped_[active_] = std::move(state).value();
           last_shipped_hash_[active_] = state_hash;
@@ -124,7 +117,7 @@ Status TargetOrchestrator::MoveTo(size_t index) {
       }
     }
   }
-  HS_RETURN_IF_ERROR(ShipFull(index, state.value(), state_hash));
+  HS_RETURN_IF_ERROR(Ship(index, state.value(), nullptr, state_hash));
   last_shipped_[active_] = std::move(state).value();
   last_shipped_hash_[active_] = state_hash;
   has_shipped_[active_] = true;
@@ -150,8 +143,8 @@ Result<size_t> TargetOrchestrator::FailOver() {
   // gone), so work since that transfer is lost — the analysis layer
   // replays it. With no mirror at all, power-on reset and start fresh.
   if (has_shipped_[dead]) {
-    HS_RETURN_IF_ERROR(
-        ShipFull(next, last_shipped_[dead], last_shipped_hash_[dead]));
+    HS_RETURN_IF_ERROR(Ship(next, last_shipped_[dead], nullptr,
+                            last_shipped_hash_[dead]));
   } else {
     HS_RETURN_IF_ERROR(targets_[next]->ResetHardware());
     InvalidateMirror(next);

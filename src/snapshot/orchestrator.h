@@ -95,14 +95,13 @@ class TargetOrchestrator {
   const TransferStats& transfer_stats() const { return transfer_stats_; }
 
  private:
-  // One bounded-retry ship of `state` (or a delta against the
-  // destination's mirror) to target `index`: serialize, run the injector,
-  // deserialize (CRC verification), restore, update the destination
-  // mirror. Corrupt blobs are quarantined and re-shipped.
-  Status ShipFull(size_t index, const sim::HardwareState& state,
-                  uint64_t state_hash);
-  Status ShipDelta(size_t index, const sim::StateDelta& delta,
-                   uint64_t state_hash);
+  // One bounded-retry ship of `state` to target `index` — as `delta`
+  // against the destination's mirror when non-null, else in full:
+  // serialize, run the injector, deserialize (CRC verification), restore,
+  // update the destination mirror. Corrupt blobs are quarantined and
+  // re-shipped.
+  Status Ship(size_t index, const sim::HardwareState& state,
+              const sim::StateDelta* delta, uint64_t state_hash);
   std::vector<uint8_t> MaybeCorrupt(std::vector<uint8_t> blob);
 
   std::vector<bus::HardwareTarget*> targets_;

@@ -116,14 +116,11 @@ std::string Report::ToJson() const {
 }
 
 Executor::Executor(bus::HardwareTarget* target, ExecOptions options)
-    : target_(target), options_(options), solver_(&ctx_) {
-  if (options_.use_device_slots) {
-    slots_ = dynamic_cast<bus::SlotSnapshotter*>(target);
-    if (slots_) slot_in_use_.assign(slots_->NumSlots(), false);
-  }
-  if (options_.use_delta_snapshots)
-    delta_ = dynamic_cast<bus::DeltaSnapshotter*>(target);
-  store_.SetMaxBytes(options_.max_store_bytes);
+    : target_(target),
+      options_(options),
+      hw_(target, options.use_device_slots, options.use_delta_snapshots,
+          options.max_store_bytes),
+      solver_(&ctx_) {
   searcher_ = MakeSearcher(options_.search, options_.seed);
   initial_ = std::make_unique<State>();
   initial_->id = next_state_id_++;
@@ -239,190 +236,36 @@ TestCase Executor::SolveTestCase(State& s, const std::string& origin) {
 // ---------------------------------------------------------------------------
 // Hardware context switch (Algorithm 1).
 
-int Executor::AllocSlot() {
-  if (!slots_) return -1;
-  for (size_t i = 0; i < slot_in_use_.size(); ++i) {
-    if (!slot_in_use_[i]) {
-      slot_in_use_[i] = true;
-      return static_cast<int>(i);
-    }
-  }
-  return -1;  // SRAM exhausted: host storage takes over
-}
-
-void Executor::FreeSlot(int slot) {
-  if (slot >= 0 && slot < static_cast<int>(slot_in_use_.size()))
-    slot_in_use_[slot] = false;
-}
-
-void Executor::SetLiveBase(snapshot::SnapshotId id) {
-  if (retained_base_ != snapshot::kNoSnapshot && retained_base_ != id) {
-    (void)store_.Drop(retained_base_);
-    retained_base_ = snapshot::kNoSnapshot;
-  }
-  live_base_ = id;
-}
-
-Status Executor::UpdateState(State& s) {
-  // Fast path: device-resident SRAM slot (paper's on-fabric snapshots).
-  // The scan into SRAM is non-destructive, so the delta base stays valid.
-  if (slots_) {
-    if (s.hw_slot < 0) s.hw_slot = AllocSlot();
-    if (s.hw_slot >= 0)
-      return slots_->SaveLiveToSlot(static_cast<unsigned>(s.hw_slot));
-  }
-  // Delta path: ship only the chunks dirtied since the sync point and
-  // apply them to the base snapshot in the store (unchanged chunks are
-  // shared structurally).
-  if (delta_ && live_base_ != snapshot::kNoSnapshot) {
-    auto d = delta_->SaveStateDelta();
-    if (!d.ok()) return d.status();
-    if (s.hw_snapshot == snapshot::kNoSnapshot) {
-      auto id = store_.PutDelta(live_base_, d.value(),
-                                "state-" + std::to_string(s.id));
-      if (id.ok()) {
-        s.hw_snapshot = id.value();
-        SetLiveBase(id.value());
-        return Status::Ok();
-      }
-      // The byte cap is a hard limit, not a mismatch to route around.
-      if (id.status().code() == StatusCode::kResourceExhausted)
-        return id.status();
-    } else {
-      Status st = store_.UpdateDelta(s.hw_snapshot, live_base_, d.value());
-      if (st.ok()) {
-        SetLiveBase(s.hw_snapshot);
-        return Status::Ok();
-      }
-      if (st.code() == StatusCode::kResourceExhausted) return st;
-    }
-    // Base/delta mismatch (shouldn't happen when the invariant holds):
-    // fall through to a full transfer, which re-establishes coherence.
-  }
-  auto live = target_->SaveState();
-  if (!live.ok()) return live.status();
-  if (s.hw_snapshot == snapshot::kNoSnapshot) {
-    HS_ASSIGN_OR_RETURN(
-        s.hw_snapshot,
-        store_.TryPut(std::move(live).value(),
-                      "state-" + std::to_string(s.id)));
-    SetLiveBase(s.hw_snapshot);
-    return Status::Ok();
-  }
-  HS_RETURN_IF_ERROR(store_.Update(s.hw_snapshot, std::move(live).value()));
-  SetLiveBase(s.hw_snapshot);
-  return Status::Ok();
-}
-
-Status Executor::RestoreState(State& s, Report* report) {
-  if (s.hw_slot >= 0) {
-    // On-fabric load: the live state moves without crossing the host
-    // link, so the host-side delta base is gone.
-    SetLiveBase(snapshot::kNoSnapshot);
-    return slots_->RestoreLiveFromSlot(static_cast<unsigned>(s.hw_slot));
-  }
-  if (s.hw_snapshot == snapshot::kNoSnapshot) {
-    // No snapshot yet: the state starts from power-on hardware.
-    ++report->reboots;
-    SetLiveBase(snapshot::kNoSnapshot);
-    return target_->ResetHardware();
-  }
-  // Delta path: restoring a sibling only writes the chunks by which the
-  // two snapshots differ.
-  if (delta_ && live_base_ != snapshot::kNoSnapshot &&
-      live_base_ != s.hw_snapshot) {
-    auto d = store_.DeltaBetween(live_base_, s.hw_snapshot);
-    if (d.ok()) {
-      Status st = delta_->RestoreStateDelta(d.value());
-      if (st.ok()) {
-        SetLiveBase(s.hw_snapshot);
-        return Status::Ok();
-      }
-    }
-    // fall through to a full restore
-  } else if (delta_ && live_base_ == s.hw_snapshot) {
-    // Restoring the sync point itself: an empty delta reverts whatever
-    // the hardware dirtied since (O(dirty) on the simulator target).
-    auto snap_hash = store_.ContentHash(s.hw_snapshot);
-    if (snap_hash.ok()) {
-      auto base = store_.Get(s.hw_snapshot);
-      if (base.ok()) {
-        sim::StateDelta empty = sim::EmptyDeltaFor(base.value()->state);
-        empty.base_hash = snap_hash.value();
-        Status st = delta_->RestoreStateDelta(empty);
-        if (st.ok()) return Status::Ok();
-      }
-    }
-    // fall through to a full restore
-  }
-  auto snap = store_.Get(s.hw_snapshot);
-  if (!snap.ok()) return snap.status();
-  HS_RETURN_IF_ERROR(target_->RestoreState(snap.value()->state));
-  SetLiveBase(s.hw_snapshot);
-  return Status::Ok();
-}
-
-Status Executor::CaptureForFork(State* forked) {
-  if (slots_) {
-    forked->hw_slot = AllocSlot();
-    if (forked->hw_slot >= 0)
-      return slots_->SaveLiveToSlot(static_cast<unsigned>(forked->hw_slot));
-  }
-  if (delta_ && live_base_ != snapshot::kNoSnapshot) {
-    auto d = delta_->SaveStateDelta();
-    if (!d.ok()) return d.status();
-    auto id = store_.PutDelta(live_base_, d.value(),
-                              "state-" + std::to_string(forked->id));
-    if (id.ok()) {
-      forked->hw_snapshot = id.value();
-      SetLiveBase(id.value());
-      return Status::Ok();
-    }
-    if (id.status().code() == StatusCode::kResourceExhausted)
-      return id.status();
-    // fall through to a full capture
-  }
-  auto live = target_->SaveState();
-  if (!live.ok()) return live.status();
-  HS_ASSIGN_OR_RETURN(
-      forked->hw_snapshot,
-      store_.TryPut(std::move(live).value(),
-                    "state-" + std::to_string(forked->id)));
-  SetLiveBase(forked->hw_snapshot);
-  return Status::Ok();
-}
-
 Status Executor::HwContextSwitch(State* previous, State& next,
                                  Report* report) {
   switch (options_.mode) {
     case ConsistencyMode::kHardSnap:
       ++report->hw_context_switches;
-      if (previous && previous->status == StateStatus::kRunning) {
-        HS_RETURN_IF_ERROR(UpdateState(*previous));
-      }
-      return RestoreState(next, report);
-    case ConsistencyMode::kNaiveConsistent: {
+      break;
+    case ConsistencyMode::kNaiveConsistent:
       // Reboot + re-execute the whole prefix of `next`. Correct hardware
       // content is obtained from the snapshot; the virtual-time cost of
       // the reboot and replay is charged explicitly (see header).
       ++report->reboots;
       report->replayed_instructions += next.icount;
-      const Duration replay =
-          options_.reboot_cost +
-          options_.replay_cost_per_instruction *
-              static_cast<int64_t>(next.icount);
-      replay_clock_.Advance(replay);
-      if (previous && previous->status == StateStatus::kRunning) {
-        HS_RETURN_IF_ERROR(UpdateState(*previous));
-      }
-      return RestoreState(next, report);
-    }
+      replay_clock_.Advance(options_.reboot_cost +
+                            options_.replay_cost_per_instruction *
+                                static_cast<int64_t>(next.icount));
+      break;
     case ConsistencyMode::kNaiveInconsistent:
       // Hardware-in-the-loop: nothing saved, nothing restored. All states
       // mutate the same live device.
       return Status::Ok();
   }
-  return Internal("bad mode");
+  if (previous && previous->status == StateStatus::kRunning) {
+    HS_RETURN_IF_ERROR(hw_.Save(&previous->hw));
+  }
+  auto rung = hw_.Restore(next.hw);
+  if (!rung.ok()) return rung.status();
+  // A state without a snapshot starts from power-on hardware.
+  if (rung.value() == snapshot::HwStateTracker::Rung::kReset)
+    ++report->reboots;
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -435,25 +278,9 @@ State* Executor::AddState(std::unique_ptr<State> state) {
   return raw;
 }
 
-void Executor::RemoveState(State* state, Report* report) {
+void Executor::RemoveState(State* state) {
   searcher_->Remove(state);
-  if (state->hw_snapshot != snapshot::kNoSnapshot) {
-    if (state->hw_snapshot == live_base_) {
-      // The live base's path is done, but its chunks still describe the
-      // target's sync point — retain the snapshot so the next restore can
-      // ship a sibling delta instead of the full state.
-      if (retained_base_ != snapshot::kNoSnapshot &&
-          retained_base_ != state->hw_snapshot)
-        (void)store_.Drop(retained_base_);
-      retained_base_ = state->hw_snapshot;
-    } else {
-      (void)store_.Drop(state->hw_snapshot);
-    }
-    state->hw_snapshot = snapshot::kNoSnapshot;
-  }
-  FreeSlot(state->hw_slot);
-  state->hw_slot = -1;
-  (void)report;
+  hw_.Release(&state->hw);
 }
 
 void Executor::FlagBug(State& s, const std::string& kind,
@@ -528,9 +355,8 @@ Status Executor::ForkOnCondition(State& s, TermId cond, uint32_t taken_pc,
 
   // Paper: "resulting state flows with a unique and non-shared hardware
   // snapshot" — capture the live hardware for the forked state.
-  forked->hw_slot = -1;  // never share the parent's slot
   if (options_.mode != ConsistencyMode::kNaiveInconsistent) {
-    HS_RETURN_IF_ERROR(CaptureForFork(forked.get()));
+    HS_RETURN_IF_ERROR(hw_.Save(&forked->hw));
   }
   AddState(std::move(forked));
 
@@ -572,9 +398,8 @@ Result<uint32_t> Executor::Concretize(State& s, TermId value,
       forked->depth = s.depth + 1;
       forked->constraints.push_back(
           ctx_.Eq(value, ctx_.Const(alt, ctx_.WidthOf(value))));
-      forked->hw_slot = -1;  // never share the parent's slot
       if (options_.mode != ConsistencyMode::kNaiveInconsistent) {
-        HS_RETURN_IF_ERROR(CaptureForFork(forked.get()));
+        HS_RETURN_IF_ERROR(hw_.Save(&forked->hw));
       }
       ++report->forks;
       AddState(std::move(forked));
@@ -975,7 +800,7 @@ Result<Report> Executor::Run() {
 
     if (s->status != StateStatus::kRunning) {
       FinishPath(*s, &report);
-      RemoveState(s, &report);
+      RemoveState(s);
       // previous stays pointing at the dead state; the next SelectNext
       // sees a terminated previous and switches freely.
     }
@@ -987,7 +812,7 @@ Result<Report> Executor::Run() {
     s->status = StateStatus::kTerminated;
     s->stop_reason = "budget exhausted";
     FinishPath(*s, &report);
-    RemoveState(s, &report);
+    RemoveState(s);
   }
 
   report.analysis_hw_time = target_->clock().now() + replay_clock_.now();
@@ -996,7 +821,7 @@ Result<Report> Executor::Run() {
   report.covered_pcs = covered_pcs_.size();
   report.snapshot_bytes_copied = target_->stats().snapshot_bytes_copied;
   report.link = target_->stats().link;
-  const auto& ss = store_.stats();
+  const auto ss = hw_.store().stats();
   report.snapshot_bytes_shared = ss.bytes_shared;
   if (ss.bytes_copied + ss.bytes_shared > 0) {
     report.snapshot_dedup_ratio =

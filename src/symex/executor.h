@@ -13,6 +13,9 @@
 //     ServePendingInterrupt(S)
 //     ExecuteInstruction(S)
 //
+// UpdateState and RestoreState are snapshot::HwStateTracker's Save and
+// Restore; each state holds its snapshot as a tracker handle.
+//
 // Three consistency modes reproduce the paper's Fig. 1 comparison:
 //   kHardSnap          — Algorithm 1 (consistent AND fast).
 //   kNaiveConsistent   — semantically the re-execution flow: every state
@@ -34,12 +37,10 @@
 #include <string>
 #include <vector>
 
-#include "bus/delta_support.h"
-#include "bus/slot_support.h"
 #include "bus/target.h"
 #include "common/status.h"
 #include "common/virtual_clock.h"
-#include "snapshot/snapshot.h"
+#include "snapshot/hw_state_tracker.h"
 #include "solver/bitblast.h"
 #include "solver/term.h"
 #include "symex/searcher.h"
@@ -97,12 +98,9 @@ struct ExecOptions {
   bool use_device_slots = true;
 
   // Route host-side snapshot traffic through the target's incremental
-  // interface (bus::DeltaSnapshotter) when it has one: UpdateState ships
-  // only the chunks dirtied since the last sync point, RestoreState of a
-  // sibling ships only the chunks by which the two snapshots differ, and
-  // the store shares unchanged chunks structurally. Falls back to full
-  // transfers whenever no usable base exists (first capture, after a
-  // reboot or an on-device slot restore).
+  // interface (bus::DeltaSnapshotter) when it has one, so only changed
+  // chunks cross the link; snapshot::HwStateTracker falls back to full
+  // transfers whenever no usable base exists.
   bool use_delta_snapshots = true;
 
   // Byte cap on the host-side snapshot store (0 = unlimited). When the
@@ -215,45 +213,18 @@ class Executor {
   Result<bool> Feasible(State& s, TermId extra);
 
   // --- hardware context switch (Algorithm 1) -----------------------------
-  Status UpdateState(State& s);
-  Status RestoreState(State& s, Report* report);
   Status HwContextSwitch(State* previous, State& next, Report* report);
-
-  // Device-slot helpers (no-ops when the target has no slots).
-  int AllocSlot();
-  void FreeSlot(int slot);
-  // Capture the live hardware for a freshly forked state (slot if
-  // available, host store otherwise).
-  Status CaptureForFork(State* forked);
 
   // --- state management -------------------------------------------------
   State* AddState(std::unique_ptr<State> state);
-  void RemoveState(State* state, Report* report);
+  void RemoveState(State* state);
   TestCase SolveTestCase(State& s, const std::string& origin);
 
   bus::HardwareTarget* target_;
-  bus::SlotSnapshotter* slots_ = nullptr;  // non-null if the target has
-                                           // device-resident slots
-  bus::DeltaSnapshotter* delta_ = nullptr;  // non-null if the target does
-                                            // incremental snapshots
-  // Snapshot whose stored content equals the target's last sync point —
-  // the base every delta is expressed against. kNoSnapshot whenever the
-  // live state moved without the host seeing it (reboot, slot restore);
-  // the next operation then does a full transfer.
-  snapshot::SnapshotId live_base_ = snapshot::kNoSnapshot;
-  // When the live base's state is removed (its path completed), its
-  // snapshot is kept alive here so the next sibling restore can still be
-  // expressed as a delta — otherwise every BFS leaf wave would pay a full
-  // restore. Dropped as soon as the live base moves elsewhere; the chunks
-  // are refcounted, so retention shares rather than copies.
-  snapshot::SnapshotId retained_base_ = snapshot::kNoSnapshot;
-  // Reassign live_base_, releasing any retained base it leaves behind.
-  void SetLiveBase(snapshot::SnapshotId id);
-  std::vector<bool> slot_in_use_;
   ExecOptions options_;
+  snapshot::HwStateTracker hw_;
   solver::BvContext ctx_;
   solver::BvSolver solver_;
-  snapshot::SnapshotStore store_{0};
 
   vm::FirmwareImage image_;
   std::unique_ptr<State> initial_;

@@ -4,7 +4,7 @@
 // it with a hardware snapshot id so that S = S_sw ∪ S_hw. Here the
 // software state is the RV32 architectural state (registers + memory +
 // machine CSRs) with solver terms as values, plus the path condition; the
-// hardware half is a SnapshotId into the snapshot store.
+// hardware half is a handle into the executor's snapshot::HwStateTracker.
 #pragma once
 
 #include <array>
@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "snapshot/snapshot.h"
+#include "snapshot/hw_state_tracker.h"
 #include "solver/term.h"
 
 namespace hardsnap::symex {
@@ -60,8 +60,7 @@ struct State {
   std::vector<SymbolicInput> inputs;
 
   // --- hardware state ---------------------------------------------------
-  snapshot::SnapshotId hw_snapshot = snapshot::kNoSnapshot;
-  int hw_slot = -1;  // device-resident SRAM slot, when the target has one
+  snapshot::HwHandle hw;
 
   // --- bookkeeping -----------------------------------------------------
   StateStatus status = StateStatus::kRunning;
@@ -71,8 +70,14 @@ struct State {
   uint64_t depth = 0;            // forks since the initial state
   std::string console;           // bytes written to the host console
 
-  // States are copied on fork; everything above is value-semantic.
-  std::unique_ptr<State> Fork() const { return std::make_unique<State>(*this); }
+  // States are copied on fork; everything above is value-semantic except
+  // the hardware handle: the child starts with none, because every state
+  // owns its own, non-shared hardware snapshot.
+  std::unique_ptr<State> Fork() const {
+    auto child = std::make_unique<State>(*this);
+    child->hw = {};
+    return child;
+  }
   State() = default;
   State(const State&) = default;
   State& operator=(const State&) = default;

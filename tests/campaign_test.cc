@@ -68,6 +68,34 @@ TEST(SharedCorpusTest, CrashesDeduplicatedAcrossWorkers) {
   EXPECT_EQ(shared.findings()[0].worker, 0u);
 }
 
+TEST(SharedCorpusTest, CreditDoesNotDependOnArrivalOrder) {
+  CampaignFinding late;
+  late.crash.pc = 0x2c;
+  late.worker = 0;
+  late.execs_at_find = 128;
+  CampaignFinding early = late;
+  early.worker = 1;
+  early.execs_at_find = 64;
+  CampaignFinding other;
+  other.crash.pc = 0x40;
+  other.execs_at_find = 96;
+
+  SharedCorpus forward, backward;
+  EXPECT_TRUE(forward.ReportCrash(late));
+  EXPECT_FALSE(forward.ReportCrash(early));
+  EXPECT_TRUE(forward.ReportCrash(other));
+  EXPECT_TRUE(backward.ReportCrash(other));
+  EXPECT_TRUE(backward.ReportCrash(early));
+  EXPECT_FALSE(backward.ReportCrash(late));
+  for (const SharedCorpus* shared : {&forward, &backward}) {
+    const auto findings = shared->findings();
+    ASSERT_EQ(findings.size(), 2u);
+    EXPECT_EQ(findings[0].worker, 1u);  // earliest by execs_at_find
+    EXPECT_EQ(findings[0].execs_at_find, 64u);
+    EXPECT_EQ(findings[1].crash.pc, 0x40u);
+  }
+}
+
 TEST(SharedCorpusTest, WorkersNeverTakeTheirOwnOffers) {
   SharedCorpus shared;
   shared.OfferInput(0, {1, 2});

@@ -222,7 +222,6 @@ CampaignDurableState SampleFuzzState() {
   f.worker_seed = 42;
   f.execs_at_find = 64;
   st.findings.push_back(f);
-  st.finding_pcs.insert(f.crash.pc);
   return st;
 }
 
@@ -248,7 +247,6 @@ void ExpectStatesEqual(const CampaignDurableState& a,
     EXPECT_EQ(a.findings[i].worker_seed, b.findings[i].worker_seed);
     EXPECT_EQ(a.findings[i].execs_at_find, b.findings[i].execs_at_find);
   }
-  EXPECT_EQ(a.finding_pcs, b.finding_pcs);
   EXPECT_EQ(a.store_blob, b.store_blob);
 }
 

@@ -140,23 +140,65 @@ TEST(SlotExecutionTest, ExecutorUsesDeviceSlotsOnFpga) {
   EXPECT_GT(target.value()->stats().snapshots_saved, 0u);
 }
 
+// Wherever snapshots live — no slots, fewer slots than live states (slots
+// run out mid-run and host transfers take over), or plenty — the analysis
+// must reach the host-only verdict. Full host transfers must not clobber
+// a state's slot, and a forked state must not share its parent's host
+// snapshot.
 TEST(SlotExecutionTest, SlotModeMatchesHostModeResults) {
-  for (bool slots : {false, true}) {
-    auto target = fpga::FpgaTarget::Create(Soc());
-    ASSERT_TRUE(target.ok());
-    symex::ExecOptions opts;
-    opts.use_device_slots = slots;
-    opts.max_instructions = 2000000;
-    symex::Executor ex(target.value().get(), opts);
-    auto img = vm::Assemble(firmware::Fig1ConsistencyFirmware());
+  // The host-only run is checked against each firmware's known verdict
+  // too, so the slot runs cannot agree with a wrong reference.
+  struct Case {
+    const char* name;
+    std::string source;
+    size_t paths;
+    size_t bugs;
+  };
+  const Case firmwares[] = {
+      {"fig1", firmware::Fig1ConsistencyFirmware(), 2, 1},  // planted bug
+      {"tree", firmware::BranchTreeFirmware(5, 4), 32, 0},  // 2^5 paths
+  };
+  for (const auto& [fw_name, source, want_paths, want_bugs] : firmwares) {
+    auto img = vm::Assemble(source);
     ASSERT_TRUE(img.ok());
-    ASSERT_TRUE(ex.LoadFirmware(img.value()).ok());
-    ex.MakeSymbolicRegister(10, "req");
-    auto report = ex.Run();
-    ASSERT_TRUE(report.ok());
-    // Same verdict regardless of where snapshots live.
-    EXPECT_EQ(report.value().bugs.size(), 1u) << "slots=" << slots;
-    EXPECT_EQ(report.value().paths_completed, 2u) << "slots=" << slots;
+    for (auto search : {symex::SearchStrategy::kBfs,
+                        symex::SearchStrategy::kDfs}) {
+      auto run = [&](bool slots, unsigned sram_slots) {
+        fpga::FpgaTargetOptions topts;
+        topts.sram_slots = sram_slots;
+        auto target = fpga::FpgaTarget::Create(Soc(), topts);
+        HS_CHECK(target.ok());
+        symex::ExecOptions opts;
+        opts.use_device_slots = slots;
+        opts.search = search;
+        opts.max_instructions = 2000000;
+        symex::Executor ex(target.value().get(), opts);
+        HS_CHECK(ex.LoadFirmware(img.value()).ok());
+        ex.MakeSymbolicRegister(10, "req");
+        return ex.Run();
+      };
+      auto host = run(false, 32);
+      ASSERT_TRUE(host.ok()) << host.status().ToString();
+      EXPECT_EQ(host.value().paths_completed, want_paths) << fw_name;
+      EXPECT_EQ(host.value().bugs.size(), want_bugs) << fw_name;
+      for (unsigned sram_slots : {0u, 1u, 2u, 3u, 32u}) {
+        const std::string where = std::string(fw_name) + " search=" +
+                                  symex::SearchStrategyName(search) +
+                                  " sram_slots=" + std::to_string(sram_slots);
+        auto report = run(true, sram_slots);
+        ASSERT_TRUE(report.ok()) << where << ": "
+                                 << report.status().ToString();
+        const symex::Report& r = report.value();
+        ASSERT_EQ(r.bugs.size(), host.value().bugs.size()) << where;
+        for (size_t i = 0; i < r.bugs.size(); ++i) {
+          EXPECT_EQ(r.bugs[i].pc, host.value().bugs[i].pc) << where;
+          EXPECT_EQ(r.bugs[i].kind, host.value().bugs[i].kind) << where;
+        }
+        EXPECT_EQ(r.paths_completed, host.value().paths_completed) << where;
+        EXPECT_EQ(r.exit_codes, host.value().exit_codes) << where;
+        EXPECT_EQ(r.console, host.value().console) << where;
+      }
+    }
   }
 }
 

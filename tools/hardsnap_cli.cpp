@@ -4,9 +4,9 @@
 //   hardsnap fuzz <firmware.s> [options]     snapshot-based fuzzing
 //   hardsnap exec <firmware.s> [options]     concrete execution
 //   hardsnap info                            SoC + scan chain summary
-//   hardsnap serve --serve=ADDR [options]    host targets for remote
-//                                            clients (same core as the
-//                                            hardsnapd binary)
+//
+// Remote targets are served by the separate hardsnapd binary
+// (tools/hardsnapd.cpp).
 //
 // Common options:
 //   --target=sim|fpga|both      hardware back-end (default sim)
@@ -54,10 +54,7 @@
 //                               in-process simulators; round-robin across
 //                               addresses, automatic fail-over on a lost
 //                               connection
-//   --serve=ADDR                serve command: listen address
-//   --targets=N                 serve command: max concurrent sessions
-//   --stats-interval=SECS       periodic progress line to stderr (both a
-//                               serving daemon and a running campaign)
+//   --stats-interval=SECS       periodic campaign progress line to stderr
 //
 // Example:
 //   hardsnap run driver.s --symbolic-reg=a0 --mode=hardsnap --target=fpga
@@ -73,7 +70,6 @@
 #include <string>
 #include <vector>
 
-#include "bus/sim_target.h"
 #include "campaign/campaign.h"
 #include "campaign/symex_campaign.h"
 #include "core/session.h"
@@ -83,7 +79,6 @@
 #include "periph/periph.h"
 #include "remote/remote_target.h"
 #include "rtl/elaborate.h"
-#include "serve_common.h"
 #include "vm/cpu.h"
 
 using namespace hardsnap;
@@ -109,7 +104,7 @@ void InstallStopHandlers() {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: hardsnap <run|fuzz|exec|info|serve> [firmware.s] "
+               "usage: hardsnap <run|fuzz|exec|info> [firmware.s] "
                "[options]\n(see the header of tools/hardsnap_cli.cpp)\n");
   return 2;
 }
@@ -163,10 +158,8 @@ struct Cli {
   persist::PersistOptions persist;
   // host<->target transport (applied to every target the command builds)
   bus::LinkConfig link;
-  // remote targets (--connect for campaigns, --serve/--targets for serve)
+  // remote targets (--connect) and campaign progress
   std::vector<std::string> connect;
-  std::string serve_listen;
-  unsigned serve_targets = 8;
   unsigned stats_interval = 0;
 };
 
@@ -174,7 +167,7 @@ bool ParseArgs(int argc, char** argv, Cli* cli) {
   if (argc < 2) return false;
   cli->command = argv[1];
   int i = 2;
-  if (cli->command != "info" && cli->command != "serve") {
+  if (cli->command != "info") {
     if (argc < 3) return false;
     cli->firmware_path = argv[2];
     i = 3;
@@ -275,10 +268,6 @@ bool ParseArgs(int argc, char** argv, Cli* cli) {
         std::fprintf(stderr, "--connect needs at least one address\n");
         return false;
       }
-    } else if (OptValue(arg, "serve", &v)) {
-      cli->serve_listen = v;
-    } else if (OptValue(arg, "targets", &v)) {
-      cli->serve_targets = static_cast<unsigned>(ParseNum(v));
     } else if (OptValue(arg, "stats-interval", &v)) {
       cli->stats_interval = static_cast<unsigned>(ParseNum(v));
     } else if (OptValue(arg, "reset", &v)) {
@@ -583,29 +572,6 @@ int CmdFuzz(const Cli& cli) {
   return 0;
 }
 
-// Same serving core as the hardsnapd binary, reachable without a second
-// install.
-int CmdServe(const Cli& cli) {
-  if (cli.serve_listen.empty()) {
-    std::fprintf(stderr, "serve needs --serve=ADDR (tcp:host:port or "
-                         "unix:/path)\n");
-    return 2;
-  }
-  if (cli.target == core::SessionConfig::Target::kBoth) {
-    std::fprintf(stderr, "serve hosts one back-end kind: --target=sim or "
-                         "--target=fpga\n");
-    return 2;
-  }
-  tools::ServeConfig config;
-  config.listen = cli.serve_listen;
-  config.targets = cli.serve_targets;
-  config.fpga = cli.target == core::SessionConfig::Target::kFpga;
-  config.stats_interval_seconds = cli.stats_interval;
-  config.link = cli.link;
-  InstallStopHandlers();
-  return tools::RunServeLoop(config, g_stop);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -615,6 +581,5 @@ int main(int argc, char** argv) {
   if (cli.command == "run") return CmdRun(cli);
   if (cli.command == "exec") return CmdExec(cli);
   if (cli.command == "fuzz") return CmdFuzz(cli);
-  if (cli.command == "serve") return CmdServe(cli);
   return Usage();
 }
