@@ -1,33 +1,22 @@
 #include "bus/sim_target.h"
 
+#include <utility>
+
 namespace hardsnap::bus {
 
-const char* TargetKindName(TargetKind kind) {
-  switch (kind) {
-    case TargetKind::kSimulator: return "simulator";
-    case TargetKind::kFpga: return "fpga";
-  }
-  return "?";
-}
-
-SimulatorTarget::SimulatorTarget(std::unique_ptr<sim::Simulator> sim,
+SimulatorTarget::SimulatorTarget(sim::Simulator sim,
                                  SimulatorTargetOptions options)
-    : options_(options),
-      sim_(std::move(sim)),
-      link_(options.channel, options.link) {
-  driver_ = std::make_unique<SocBusDriver>(sim_.get());
-}
+    : SocTarget("simulator", std::move(sim), options.sim_clock_hz,
+                options.channel, options.link),
+      options_(options) {}
 
 Result<std::unique_ptr<SimulatorTarget>> SimulatorTarget::Create(
     const rtl::Design& soc_design, SimulatorTargetOptions options) {
   auto sim = sim::Simulator::Create(soc_design);
   if (!sim.ok()) return sim.status();
-  auto target = std::unique_ptr<SimulatorTarget>(new SimulatorTarget(
-      std::make_unique<sim::Simulator>(std::move(sim).value()), options));
-  // Idle serial lines if present.
-  if (soc_design.FindSignal("uart_rx") != rtl::kInvalidId) {
-    HS_RETURN_IF_ERROR(target->sim_->PokeInput("uart_rx", 1));
-  }
+  auto target = std::unique_ptr<SimulatorTarget>(
+      new SimulatorTarget(std::move(sim).value(), options));
+  HS_RETURN_IF_ERROR(target->IdleSerialLine());
   return target;
 }
 
@@ -43,72 +32,11 @@ Duration SimulatorTarget::CriuDeltaCost(size_t payload_bytes) const {
   return options_.criu_incremental_base + Duration::Seconds(seconds);
 }
 
-Result<uint32_t> SimulatorTarget::Read32(uint32_t addr) {
-  // The link charges the shared-memory round trip (per attempt, if faults
-  // force retries); the simulated bus cycle is charged only once the
-  // transaction actually reaches the device.
-  Duration link_cost;
-  auto v = link_.Read(
-      addr, [&] { return driver_->Read32(addr); }, &link_cost);
-  clock_.Advance(link_cost);
-  stats_.io_time += link_cost;
-  SyncLinkStats();
-  if (!v.ok()) return v.status();
-  ++stats_.mmio_reads;
-  const Duration dev = PeriodOfHz(options_.sim_clock_hz);
-  clock_.Advance(dev);
-  stats_.io_time += dev;
-  return v;
-}
-
-Status SimulatorTarget::Write32(uint32_t addr, uint32_t value) {
-  Duration link_cost;
-  Status s = link_.Write(
-      addr, value, [&] { return driver_->Write32(addr, value); }, &link_cost);
-  clock_.Advance(link_cost);
-  stats_.io_time += link_cost;
-  SyncLinkStats();
-  HS_RETURN_IF_ERROR(s);
-  ++stats_.mmio_writes;
-  const Duration dev = PeriodOfHz(options_.sim_clock_hz);
-  clock_.Advance(dev);
-  stats_.io_time += dev;
-  return Status::Ok();
-}
-
-Status SimulatorTarget::Run(uint64_t cycles) {
-  // The run command crosses the link too (a dead target cannot be told to
-  // run), but its clean cost is purely the simulation time — command
-  // latency is hidden behind the multi-cycle execution.
-  const Duration run_cost =
-      PeriodOfHz(options_.sim_clock_hz) * static_cast<int64_t>(cycles);
-  Duration cost;
-  Status s = link_.Bulk(
-      run_cost,
-      [&] {
-        sim_->Tick(static_cast<unsigned>(cycles));
-        return Status::Ok();
-      },
-      &cost);
-  clock_.Advance(cost);
-  stats_.run_time += cost;
-  SyncLinkStats();
-  HS_RETURN_IF_ERROR(s);
-  stats_.cycles_run += cycles;
-  return Status::Ok();
-}
-
 Status SimulatorTarget::ResetHardware() {
   // A reboot of the simulated SoC still runs at simulation speed; charge a
   // couple of cycles (the expensive "reboot" in the naive-and-consistent
   // flow is re-running firmware init, which the VM accounts separately).
-  Duration cost;
-  Status s = link_.Bulk(
-      PeriodOfHz(options_.sim_clock_hz) * 2, [&] { return sim_->Reset(); },
-      &cost);
-  clock_.Advance(cost);
-  SyncLinkStats();
-  return s;
+  return Bulk(Cycles(2), nullptr, [&] { return engine().Reset(); });
 }
 
 Result<sim::HardwareState> SimulatorTarget::SaveState() {
@@ -118,35 +46,22 @@ Result<sim::HardwareState> SimulatorTarget::SaveState() {
   // The checkpoint command + image hand-off crosses the link as one bulk
   // retry unit with the CRIU duration as its clean cost.
   sim::HardwareState st;
-  Duration cost;
-  Status s = link_.Bulk(
-      CriuCost(),
-      [&] {
-        st = sim_->DumpState();
-        // A full checkpoint is a sync point for the delta tracker: the
-        // caller now holds exactly this state as a base for future deltas.
-        sim_->MarkSynced();
-        return Status::Ok();
-      },
-      &cost);
-  clock_.Advance(cost);
-  stats_.snapshot_time += cost;
-  SyncLinkStats();
-  if (!s.ok()) return s;
+  HS_RETURN_IF_ERROR(Bulk(CriuCost(), &TargetStats::snapshot_time, [&] {
+    st = engine().DumpState();
+    // A full checkpoint is a sync point for the delta tracker: the
+    // caller now holds exactly this state as a base for future deltas.
+    engine().MarkSynced();
+    return Status::Ok();
+  }));
   ++stats_.snapshots_saved;
   stats_.snapshot_bytes_copied += sim::StateWords(st) * 8;
   return st;
 }
 
 Status SimulatorTarget::RestoreState(const sim::HardwareState& state) {
-  Duration cost;
-  Status s = link_.Bulk(
-      CriuCost(), [&] { return sim_->RestoreState(state); },  // sync point
-      &cost);
-  clock_.Advance(cost);
-  stats_.snapshot_time += cost;
-  SyncLinkStats();
-  HS_RETURN_IF_ERROR(s);
+  HS_RETURN_IF_ERROR(Bulk(CriuCost(), &TargetStats::snapshot_time, [&] {
+    return engine().RestoreState(state);  // sync point
+  }));
   ++stats_.snapshots_restored;
   stats_.snapshot_bytes_copied += sim::StateWords(state) * 8;
   return Status::Ok();
@@ -155,7 +70,7 @@ Status SimulatorTarget::RestoreState(const sim::HardwareState& state) {
 Result<uint64_t> SimulatorTarget::StateHash() {
   // Device-local integrity probe: the simulator process hashes its own
   // architectural state. No checkpoint happens, so no CRIU cost.
-  return sim::HashState(sim_->DumpState());
+  return sim::HashState(engine().DumpState());
 }
 
 Result<sim::StateDelta> SimulatorTarget::SaveStateDelta() {
@@ -163,27 +78,19 @@ Result<sim::StateDelta> SimulatorTarget::SaveStateDelta() {
   // crosses the link; a failed hand-off models "device checkpointed but
   // the host lost the reply". RestoreDelta's base-hash check catches any
   // staleness that results, and callers fall back to a full restore.
-  sim::StateDelta delta = sim_->CaptureDelta();
-  Duration cost;
-  Status s = link_.Bulk(CriuDeltaCost(delta.PayloadBytes()),
-                        [] { return Status::Ok(); }, &cost);
-  clock_.Advance(cost);
-  stats_.snapshot_time += cost;
-  SyncLinkStats();
-  if (!s.ok()) return s;
+  sim::StateDelta delta = engine().CaptureDelta();
+  HS_RETURN_IF_ERROR(Bulk(CriuDeltaCost(delta.PayloadBytes()),
+                          &TargetStats::snapshot_time,
+                          [] { return Status::Ok(); }));
   ++stats_.snapshots_saved;
   stats_.snapshot_bytes_copied += delta.PayloadBytes();
   return delta;
 }
 
 Status SimulatorTarget::RestoreStateDelta(const sim::StateDelta& delta) {
-  Duration cost;
-  Status s = link_.Bulk(CriuDeltaCost(delta.PayloadBytes()),
-                        [&] { return sim_->RestoreDelta(delta); }, &cost);
-  clock_.Advance(cost);
-  stats_.snapshot_time += cost;
-  SyncLinkStats();
-  HS_RETURN_IF_ERROR(s);
+  HS_RETURN_IF_ERROR(Bulk(CriuDeltaCost(delta.PayloadBytes()),
+                          &TargetStats::snapshot_time,
+                          [&] { return engine().RestoreDelta(delta); }));
   ++stats_.snapshots_restored;
   stats_.snapshot_bytes_copied += delta.PayloadBytes();
   return Status::Ok();

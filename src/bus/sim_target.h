@@ -10,13 +10,9 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
-#include "bus/channel.h"
 #include "bus/delta_support.h"
-#include "bus/link.h"
-#include "bus/soc_driver.h"
-#include "bus/target.h"
+#include "bus/soc_target.h"
 #include "common/status.h"
 #include "rtl/ir.h"
 
@@ -47,18 +43,12 @@ struct SimulatorTargetOptions {
   LinkConfig link;
 };
 
-class SimulatorTarget : public HardwareTarget, public DeltaSnapshotter {
+class SimulatorTarget : public SocTarget, public DeltaSnapshotter {
  public:
   static Result<std::unique_ptr<SimulatorTarget>> Create(
       const rtl::Design& soc_design, SimulatorTargetOptions options = {});
 
   TargetKind kind() const override { return TargetKind::kSimulator; }
-  const std::string& name() const override { return name_; }
-
-  Result<uint32_t> Read32(uint32_t addr) override;
-  Status Write32(uint32_t addr, uint32_t value) override;
-  Status Run(uint64_t cycles) override;
-  uint32_t IrqVector() override { return driver_->IrqVector(); }
   Status ResetHardware() override;
 
   Result<sim::HardwareState> SaveState() override;
@@ -72,16 +62,10 @@ class SimulatorTarget : public HardwareTarget, public DeltaSnapshotter {
   Result<sim::StateDelta> SaveStateDelta() override;
   Status RestoreStateDelta(const sim::StateDelta& delta) override;
 
-  bool responsive() const override { return link_.alive(); }
-
-  const VirtualClock& clock() const override { return clock_; }
-  const TargetStats& stats() const override { return stats_; }
-
   // Full-visibility extras (unique to this target; the paper's motivation
   // for transferring state FPGA -> simulator to obtain traces).
-  sim::Simulator* simulator() { return sim_.get(); }
+  sim::Simulator* simulator() { return &engine(); }
   const SimulatorTargetOptions& options() const { return options_; }
-  FramedLink* link() { return &link_; }
 
   // Modeled duration of one CRIU checkpoint or restore.
   Duration CriuCost() const;
@@ -89,20 +73,9 @@ class SimulatorTarget : public HardwareTarget, public DeltaSnapshotter {
   Duration CriuDeltaCost(size_t payload_bytes) const;
 
  private:
-  SimulatorTarget(std::unique_ptr<sim::Simulator> sim,
-                  SimulatorTargetOptions options);
+  SimulatorTarget(sim::Simulator sim, SimulatorTargetOptions options);
 
-  // Copies the link's counters into stats_ so TargetStats is always a
-  // complete picture of this target.
-  void SyncLinkStats() { stats_.link = link_.stats(); }
-
-  std::string name_ = "simulator";
   SimulatorTargetOptions options_;
-  std::unique_ptr<sim::Simulator> sim_;
-  std::unique_ptr<SocBusDriver> driver_;
-  FramedLink link_;
-  VirtualClock clock_;
-  TargetStats stats_;
 };
 
 }  // namespace hardsnap::bus

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bus/sim_target.h"
@@ -56,40 +57,31 @@ class OrchestratedTarget : public bus::HardwareTarget,
   bus::TargetKind kind() const override { return orch_->active().kind(); }
   const std::string& name() const override { return orch_->active().name(); }
   Result<uint32_t> Read32(uint32_t addr) override {
-    auto r = orch_->active().Read32(addr);
-    if (!ShouldFailOver(r.status())) return r;
-    return orch_->active().Read32(addr);
+    return WithFailover([&](bus::HardwareTarget& t) { return t.Read32(addr); });
   }
   Status Write32(uint32_t addr, uint32_t value) override {
-    Status s = orch_->active().Write32(addr, value);
-    if (!ShouldFailOver(s)) return s;
-    return orch_->active().Write32(addr, value);
+    return WithFailover(
+        [&](bus::HardwareTarget& t) { return t.Write32(addr, value); });
   }
   Status Run(uint64_t cycles) override {
-    Status s = orch_->active().Run(cycles);
-    if (!ShouldFailOver(s)) return s;
-    return orch_->active().Run(cycles);
+    return WithFailover([&](bus::HardwareTarget& t) { return t.Run(cycles); });
   }
   uint32_t IrqVector() override { return orch_->active().IrqVector(); }
   Status ResetHardware() override {
     // The reset moves the live state without a migration: the state the
     // orchestrator last shipped here is gone, so the delta base must not
     // be trusted for the next MoveTo.
-    orch_->InvalidateMirror(orch_->active_index());
-    Status s = orch_->active().ResetHardware();
-    if (!ShouldFailOver(s)) return s;
-    orch_->InvalidateMirror(orch_->active_index());
-    return orch_->active().ResetHardware();
+    return WithFailover([&](bus::HardwareTarget& t) {
+      orch_->InvalidateMirror(orch_->active_index());
+      return t.ResetHardware();
+    });
   }
   Result<sim::HardwareState> SaveState() override {
-    auto r = orch_->active().SaveState();
-    if (!ShouldFailOver(r.status())) return r;
-    return orch_->active().SaveState();
+    return WithFailover([](bus::HardwareTarget& t) { return t.SaveState(); });
   }
   Status RestoreState(const sim::HardwareState& state) override {
-    Status s = orch_->active().RestoreState(state);
-    if (!ShouldFailOver(s)) return s;
-    return orch_->active().RestoreState(state);
+    return WithFailover(
+        [&](bus::HardwareTarget& t) { return t.RestoreState(state); });
   }
   Result<uint64_t> StateHash() override { return orch_->active().StateHash(); }
   bool responsive() const override { return orch_->active().responsive(); }
@@ -126,6 +118,19 @@ class OrchestratedTarget : public bus::HardwareTarget,
   bool ShouldFailOver(const Status& s) {
     if (s.ok() || !IsInfrastructureFailure(s.code())) return false;
     return orch_->FailOver().ok();
+  }
+  static const Status& StatusOf(const Status& s) { return s; }
+  template <class T>
+  static const Status& StatusOf(const Result<T>& r) {
+    return r.status();
+  }
+  // Runs `op` on the active target, and once more on the new active
+  // target when ShouldFailOver says so.
+  template <class Op>
+  std::invoke_result_t<Op, bus::HardwareTarget&> WithFailover(Op op) {
+    auto r = op(orch_->active());
+    if (!ShouldFailOver(StatusOf(r))) return r;
+    return op(orch_->active());
   }
 
   snapshot::TargetOrchestrator* orch_;

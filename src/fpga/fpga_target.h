@@ -8,7 +8,7 @@
 //   * MMIO through the USB3 debugger (AXI master),
 //   * the irq wires,
 //   * the snapshot controller IP: scan-chain save/restore to on-fabric
-//     SRAM slots, host upload/download of slots,
+//     SRAM slots, and full or delta transfers to the host,
 //   * optional vendor readback (full-fabric configuration dump).
 // There is no Peek/Poke of internal signals and no tracing — to get those,
 // transfer the state to the simulator target (experiment E6).
@@ -21,15 +21,11 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "bus/channel.h"
 #include "bus/delta_support.h"
-#include "bus/link.h"
 #include "bus/slot_support.h"
-#include "bus/soc_driver.h"
-#include "bus/target.h"
+#include "bus/soc_target.h"
 #include "common/status.h"
 #include "rtl/ir.h"
 #include "scanchain/scan_controller.h"
@@ -59,7 +55,7 @@ struct FpgaTargetOptions {
   bus::LinkConfig link;
 };
 
-class FpgaTarget : public bus::HardwareTarget,
+class FpgaTarget : public bus::SocTarget,
                    public bus::SlotSnapshotter,
                    public bus::DeltaSnapshotter {
  public:
@@ -68,12 +64,6 @@ class FpgaTarget : public bus::HardwareTarget,
       const rtl::Design& soc_design, FpgaTargetOptions options = {});
 
   bus::TargetKind kind() const override { return bus::TargetKind::kFpga; }
-  const std::string& name() const override { return name_; }
-
-  Result<uint32_t> Read32(uint32_t addr) override;
-  Status Write32(uint32_t addr, uint32_t value) override;
-  Status Run(uint64_t cycles) override;
-  uint32_t IrqVector() override { return driver_->IrqVector(); }
   Status ResetHardware() override;
 
   // Full host transfer: scan pass + USB3 bulk download/upload.
@@ -92,34 +82,13 @@ class FpgaTarget : public bus::HardwareTarget,
   Result<sim::StateDelta> SaveStateDelta() override;
   Status RestoreStateDelta(const sim::StateDelta& delta) override;
 
-  bool responsive() const override { return link_.alive(); }
-
-  const VirtualClock& clock() const override { return clock_; }
-  const bus::TargetStats& stats() const override { return stats_; }
-
-  bus::FramedLink* link() { return &link_; }
-
   // --- snapshot controller IP (on-fabric, fast path) ---------------------
-  // Scan the live state into SRAM slot `slot` (previous content replaced).
-  Status SaveToSlot(unsigned slot);
-  // Load SRAM slot `slot` into the live registers/memories.
-  Status RestoreFromSlot(unsigned slot);
-  // Swap: load `slot` while capturing the outgoing state into it — a
-  // single scan pass, the cheapest possible hardware context switch.
-  Status SwapWithSlot(unsigned slot);
-  unsigned num_slots() const { return options_.sram_slots; }
-  bool SlotOccupied(unsigned slot) const;
-
-  // bus::SlotSnapshotter (device-resident snapshots for the executor).
+  // bus::SlotSnapshotter: scan the live state into SRAM slot `slot`
+  // (previous content replaced), or load the slot into the live
+  // registers/memories. Neither crosses the host link with state bits.
   unsigned NumSlots() const override { return options_.sram_slots; }
-  Status SaveLiveToSlot(unsigned slot) override { return SaveToSlot(slot); }
-  Status RestoreLiveFromSlot(unsigned slot) override {
-    return RestoreFromSlot(slot);
-  }
-
-  // Download / upload a slot over USB3 (bulk cost).
-  Result<sim::HardwareState> DownloadSlot(unsigned slot);
-  Status UploadSlot(unsigned slot, const sim::HardwareState& state);
+  Status SaveLiveToSlot(unsigned slot) override;
+  Status RestoreLiveFromSlot(unsigned slot) override;
 
   // --- vendor readback -----------------------------------------------------
   // Full-fabric configuration dump; recovers the architectural state but
@@ -136,20 +105,13 @@ class FpgaTarget : public bus::HardwareTarget,
 
  private:
   FpgaTarget(std::unique_ptr<scanchain::InstrumentedDesign> inst,
-             FpgaTargetOptions options);
+             sim::Simulator fabric, FpgaTargetOptions options);
 
-  Duration FabricCycles(uint64_t cycles) const {
-    return PeriodOfHz(options_.fabric_hz) * static_cast<int64_t>(cycles);
-  }
-  void SyncLinkStats() { stats_.link = link_.stats(); }
-
-  std::string name_ = "fpga";
+  // The fabric (the engine executing the bitstream) stays private: the
+  // scan controller and the bus driver are the only ways in.
   FpgaTargetOptions options_;
   std::unique_ptr<scanchain::InstrumentedDesign> inst_;
-  std::unique_ptr<sim::Simulator> fabric_;  // private: bitstream execution
-  std::unique_ptr<bus::SocBusDriver> driver_;
-  std::unique_ptr<scanchain::ScanController> scan_;
-  bus::FramedLink link_;
+  scanchain::ScanController scan_;
   // SRAM slots [0, sram_slots), then one private staging buffer that
   // full host transfers pass through, so SaveState / RestoreState never
   // clobber a slot the executor holds a snapshot in.
@@ -157,15 +119,11 @@ class FpgaTarget : public bus::HardwareTarget,
   unsigned staging() const { return options_.sram_slots; }
   Status ScanToSram(unsigned index);
   Status ScanFromSram(unsigned index);
-  Result<sim::HardwareState> Download(unsigned index);
-  Status Upload(unsigned index, const sim::HardwareState& state);
   // Host-side mirror of the architectural state at the last full-transfer
   // sync point (what the delta path diffs against). Invalidated whenever
   // the live state moves without crossing the host link.
   sim::HardwareState mirror_;
   bool mirror_valid_ = false;
-  VirtualClock clock_;
-  bus::TargetStats stats_;
 };
 
 }  // namespace hardsnap::fpga

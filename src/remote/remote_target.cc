@@ -98,6 +98,10 @@ Result<std::unique_ptr<RemoteTarget>> RemoteTarget::Connect(
                      " attempts; last error: " + last.ToString());
 }
 
+Status RemoteTarget::Lost() const {
+  return Unavailable("remote target '" + name_ + "' connection lost");
+}
+
 void RemoteTarget::MarkDead(const Status& why) {
   if (!alive_) return;
   alive_ = false;
@@ -106,8 +110,7 @@ void RemoteTarget::MarkDead(const Status& why) {
 }
 
 Result<Reply> RemoteTarget::Call(Request request) {
-  if (!alive_)
-    return Unavailable("remote target '" + name_ + "' connection lost");
+  if (!alive_) return Lost();
 
   ++seq_;
   const Op op = request.op;
@@ -193,8 +196,7 @@ Result<std::vector<uint32_t>> RemoteTarget::FlushCollect() {
 Status RemoteTarget::Flush() { return FlushCollect().status(); }
 
 Result<uint32_t> RemoteTarget::Read32(uint32_t addr) {
-  if (!alive_)
-    return Unavailable("remote target '" + name_ + "' connection lost");
+  if (!alive_) return Lost();
   pending_.push_back(bus::MmioOp::Read(addr));
   ++stats_.mmio_reads;
   auto reads = FlushCollect();
@@ -205,8 +207,7 @@ Result<uint32_t> RemoteTarget::Read32(uint32_t addr) {
 }
 
 Status RemoteTarget::Write32(uint32_t addr, uint32_t value) {
-  if (!alive_)
-    return Unavailable("remote target '" + name_ + "' connection lost");
+  if (!alive_) return Lost();
   pending_.push_back(bus::MmioOp::Write(addr, value));
   ++stats_.mmio_writes;
   if (!options_.coalesce_ops || pending_.size() >= options_.max_pending_ops)
@@ -215,8 +216,7 @@ Status RemoteTarget::Write32(uint32_t addr, uint32_t value) {
 }
 
 Status RemoteTarget::Run(uint64_t cycles) {
-  if (!alive_)
-    return Unavailable("remote target '" + name_ + "' connection lost");
+  if (!alive_) return Lost();
   stats_.cycles_run += cycles;
   if (options_.coalesce_ops && !pending_.empty() &&
       pending_.back().kind == bus::MmioOp::kRun)
@@ -235,50 +235,53 @@ uint32_t RemoteTarget::IrqVector() {
   return irq_;
 }
 
-Status RemoteTarget::ResetHardware() {
+Result<Reply> RemoteTarget::FlushAndCall(Op op, std::vector<uint8_t> blob,
+                                         uint32_t slot) {
   HS_RETURN_IF_ERROR(Flush());
   Request request;
-  request.op = Op::kReset;
-  return Call(std::move(request)).status();
+  request.op = op;
+  request.blob = std::move(blob);
+  request.slot = slot;
+  return Call(std::move(request));
 }
 
-Result<sim::HardwareState> RemoteTarget::SaveState() {
-  HS_RETURN_IF_ERROR(Flush());
-  Request request;
-  request.op = Op::kSaveState;
-  auto reply = Call(std::move(request));
-  if (!reply.ok()) return reply.status();
+Result<std::vector<uint8_t>> RemoteTarget::SaveRpc(Op op, uint32_t slot) {
+  HS_ASSIGN_OR_RETURN(Reply reply, FlushAndCall(op, {}, slot));
   ++stats_.snapshots_saved;
-  stats_.snapshot_bytes_copied += reply.value().blob.size();
-  return snapshot::DeserializeState(reply.value().blob);
+  stats_.snapshot_bytes_copied += reply.blob.size();
+  return std::move(reply.blob);
 }
 
-Status RemoteTarget::RestoreState(const sim::HardwareState& state) {
-  HS_RETURN_IF_ERROR(Flush());
-  Request request;
-  request.op = Op::kRestoreState;
-  request.blob = snapshot::SerializeState(state);
-  const size_t shipped = request.blob.size();
-  auto reply = Call(std::move(request));
-  if (!reply.ok()) return reply.status();
+Status RemoteTarget::RestoreRpc(Op op, std::vector<uint8_t> blob,
+                                uint32_t slot) {
+  const size_t shipped = blob.size();
+  HS_RETURN_IF_ERROR(FlushAndCall(op, std::move(blob), slot).status());
   ++stats_.snapshots_restored;
   stats_.snapshot_bytes_copied += shipped;
   return Status::Ok();
 }
 
+Status RemoteTarget::ResetHardware() {
+  return FlushAndCall(Op::kReset).status();
+}
+
+Result<sim::HardwareState> RemoteTarget::SaveState() {
+  HS_ASSIGN_OR_RETURN(auto blob, SaveRpc(Op::kSaveState));
+  return snapshot::DeserializeState(blob);
+}
+
+Status RemoteTarget::RestoreState(const sim::HardwareState& state) {
+  return RestoreRpc(Op::kRestoreState, snapshot::SerializeState(state));
+}
+
 Result<uint64_t> RemoteTarget::StateHash() {
-  HS_RETURN_IF_ERROR(Flush());
-  Request request;
-  request.op = Op::kStateHash;
-  auto reply = Call(std::move(request));
-  if (!reply.ok()) return reply.status();
-  return reply.value().value64;
+  HS_ASSIGN_OR_RETURN(Reply reply, FlushAndCall(Op::kStateHash));
+  return reply.value64;
 }
 
 Result<std::vector<uint32_t>> RemoteTarget::ExecuteMmio(
     const std::vector<bus::MmioOp>& ops) {
-  if (!alive_)
-    return Unavailable("remote target '" + name_ + "' connection lost");
+  if (!alive_) return Lost();
   // Ship anything already queued first so program order is preserved,
   // then the caller's batch as its own RPC (its reads map 1:1).
   HS_RETURN_IF_ERROR(Flush());
@@ -300,58 +303,17 @@ Result<std::vector<uint32_t>> RemoteTarget::ExecuteMmio(
 }
 
 Result<ServerStats> RemoteTarget::FetchServerStats() {
-  HS_RETURN_IF_ERROR(Flush());
-  Request request;
-  request.op = Op::kStats;
-  auto reply = Call(std::move(request));
-  if (!reply.ok()) return reply.status();
-  return DecodeServerStats(reply.value().blob);
+  HS_ASSIGN_OR_RETURN(Reply reply, FlushAndCall(Op::kStats));
+  return DecodeServerStats(reply.blob);
 }
 
-Result<sim::StateDelta> RemoteTarget::DoSaveDelta() {
-  HS_RETURN_IF_ERROR(Flush());
-  Request request;
-  request.op = Op::kSaveDelta;
-  auto reply = Call(std::move(request));
-  if (!reply.ok()) return reply.status();
-  ++stats_.snapshots_saved;
-  stats_.snapshot_bytes_copied += reply.value().blob.size();
-  return snapshot::DeserializeStateDelta(reply.value().blob);
+Result<sim::StateDelta> RemoteDeltaTarget::SaveStateDelta() {
+  HS_ASSIGN_OR_RETURN(auto blob, SaveRpc(Op::kSaveDelta));
+  return snapshot::DeserializeStateDelta(blob);
 }
 
-Status RemoteTarget::DoRestoreDelta(const sim::StateDelta& delta) {
-  HS_RETURN_IF_ERROR(Flush());
-  Request request;
-  request.op = Op::kRestoreDelta;
-  request.blob = snapshot::SerializeStateDelta(delta);
-  const size_t shipped = request.blob.size();
-  auto reply = Call(std::move(request));
-  if (!reply.ok()) return reply.status();
-  ++stats_.snapshots_restored;
-  stats_.snapshot_bytes_copied += shipped;
-  return Status::Ok();
-}
-
-Status RemoteTarget::DoSlotSave(unsigned slot) {
-  HS_RETURN_IF_ERROR(Flush());
-  Request request;
-  request.op = Op::kSlotSave;
-  request.slot = slot;
-  auto reply = Call(std::move(request));
-  if (!reply.ok()) return reply.status();
-  ++stats_.snapshots_saved;
-  return Status::Ok();
-}
-
-Status RemoteTarget::DoSlotRestore(unsigned slot) {
-  HS_RETURN_IF_ERROR(Flush());
-  Request request;
-  request.op = Op::kSlotRestore;
-  request.slot = slot;
-  auto reply = Call(std::move(request));
-  if (!reply.ok()) return reply.status();
-  ++stats_.snapshots_restored;
-  return Status::Ok();
+Status RemoteDeltaTarget::RestoreStateDelta(const sim::StateDelta& delta) {
+  return RestoreRpc(Op::kRestoreDelta, snapshot::SerializeStateDelta(delta));
 }
 
 }  // namespace hardsnap::remote

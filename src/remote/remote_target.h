@@ -130,21 +130,25 @@ class RemoteTarget : public bus::HardwareTarget, public bus::MmioBatcher {
   RemoteTarget(net::FrameStream stream, HelloInfo hello,
                RemoteTargetOptions options);
 
-  // RPC bodies for the capability subtypes.
-  Result<sim::StateDelta> DoSaveDelta();
-  Status DoRestoreDelta(const sim::StateDelta& delta);
-  unsigned SlotCount() const { return hello_.num_slots; }
-  Status DoSlotSave(unsigned slot);
-  Status DoSlotRestore(unsigned slot);
+  // A snapshot save / restore RPC (after flushing coalesced ops): counts
+  // the snapshot and the payload bytes that crossed the wire.
+  Result<std::vector<uint8_t>> SaveRpc(Op op, uint32_t slot = 0);
+  Status RestoreRpc(Op op, std::vector<uint8_t> blob, uint32_t slot = 0);
 
  private:
   // One request/reply exchange. Transport failures mark the target dead;
   // a device-level error comes back as that operation's Status with the
   // connection intact.
   Result<Reply> Call(Request request);
+  // Ships any coalesced ops, then makes one `op` RPC carrying `blob` (a
+  // restore's payload) or `slot` (a slot op).
+  Result<Reply> FlushAndCall(Op op, std::vector<uint8_t> blob = {},
+                             uint32_t slot = 0);
 
   Result<std::vector<uint32_t>> FlushCollect();
   void MarkDead(const Status& why);
+  // The kUnavailable every operation fails with once the target is dead.
+  Status Lost() const;
 
   net::FrameStream stream_;
   HelloInfo hello_;
@@ -165,10 +169,8 @@ class RemoteTarget : public bus::HardwareTarget, public bus::MmioBatcher {
 // Server target with incremental snapshots (hosted SimulatorTarget).
 class RemoteDeltaTarget : public RemoteTarget, public bus::DeltaSnapshotter {
  public:
-  Result<sim::StateDelta> SaveStateDelta() override { return DoSaveDelta(); }
-  Status RestoreStateDelta(const sim::StateDelta& delta) override {
-    return DoRestoreDelta(delta);
-  }
+  Result<sim::StateDelta> SaveStateDelta() override;
+  Status RestoreStateDelta(const sim::StateDelta& delta) override;
 
  protected:
   using RemoteTarget::RemoteTarget;
@@ -179,10 +181,12 @@ class RemoteDeltaTarget : public RemoteTarget, public bus::DeltaSnapshotter {
 class RemoteSlotTarget final : public RemoteDeltaTarget,
                                public bus::SlotSnapshotter {
  public:
-  unsigned NumSlots() const override { return SlotCount(); }
-  Status SaveLiveToSlot(unsigned slot) override { return DoSlotSave(slot); }
+  unsigned NumSlots() const override { return hello().num_slots; }
+  Status SaveLiveToSlot(unsigned slot) override {
+    return SaveRpc(Op::kSlotSave, slot).status();
+  }
   Status RestoreLiveFromSlot(unsigned slot) override {
-    return DoSlotRestore(slot);
+    return RestoreRpc(Op::kSlotRestore, {}, slot);
   }
 
  private:

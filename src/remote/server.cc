@@ -3,8 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "bus/delta_support.h"
-#include "bus/slot_support.h"
 #include "common/logging.h"
 #include "snapshot/snapshot.h"
 
@@ -15,6 +13,15 @@ namespace {
 void SetStatus(Reply* reply, const Status& status) {
   reply->code = status.code();
   reply->message = status.message();
+}
+
+// Hands `result`'s value to `use`, or puts its error in the reply.
+template <class T, class Use>
+void Answer(Reply* reply, Result<T> result, Use use) {
+  if (result.ok())
+    use(std::move(result).value());
+  else
+    SetStatus(reply, result.status());
 }
 
 uint64_t WallMicros() {
@@ -64,19 +71,45 @@ void TargetServer::Stop() {
   stopping_.store(true);
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
-  std::vector<std::thread> sessions;
+  std::map<uint64_t, std::thread> sessions;
   {
     std::lock_guard<std::mutex> lock(mu_);
     sessions.swap(sessions_);
+    finished_.clear();
   }
-  for (std::thread& t : sessions)
-    if (t.joinable()) t.join();
+  for (auto& [id, t] : sessions) t.join();
   LogInfo(options_.name + ": stopped");
 }
 
 ServerStats TargetServer::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+size_t TargetServer::session_threads() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sessions_.size();
+}
+
+void TargetServer::JoinFinished() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (uint64_t id : finished_) {
+      auto it = sessions_.find(id);
+      done.push_back(std::move(it->second));
+      sessions_.erase(it);
+    }
+    finished_.clear();
+  }
+  for (std::thread& t : done) t.join();
+}
+
+void TargetServer::EndSession(uint64_t session_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.sessions_closed;
+  finished_.push_back(session_id);
+  active_sessions_.fetch_sub(1);
 }
 
 void TargetServer::Refuse(net::Socket socket, const std::string& why) {
@@ -93,6 +126,7 @@ void TargetServer::Refuse(net::Socket socket, const std::string& why) {
 
 void TargetServer::AcceptLoop() {
   while (!stopping_.load()) {
+    JoinFinished();
     auto socket = listener_.Accept(options_.accept_poll_ms);
     if (!socket.ok()) {
       if (socket.status().code() == StatusCode::kDeadlineExceeded) continue;
@@ -116,11 +150,11 @@ void TargetServer::AcceptLoop() {
     std::lock_guard<std::mutex> lock(mu_);
     const uint64_t id = next_session_id_++;
     ++stats_.sessions_accepted;
-    sessions_.emplace_back(
-        [this, id, sock = std::make_shared<net::Socket>(
-                       std::move(socket).value())]() mutable {
+    sessions_.emplace(
+        id, std::thread([this, id, sock = std::make_shared<net::Socket>(
+                                       std::move(socket).value())]() mutable {
           RunSession(std::move(*sock), id);
-        });
+        }));
   }
 }
 
@@ -137,57 +171,52 @@ void TargetServer::RunSession(net::Socket socket, uint64_t session_id) {
     SetStatus(&reply, target_or.status());
     (void)stream.Send(bus::Frame::kReplyErr, 0,
                       static_cast<uint32_t>(Op::kHello), EncodeReply(reply));
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.sessions_closed;
-    active_sessions_.fetch_sub(1);
+    EndSession(session_id);
     return;
   }
-  std::unique_ptr<bus::HardwareTarget> target = std::move(target_or).value();
-  LogInfo(tag + ": open (target " + target->name() + ")");
+  std::unique_ptr<bus::HardwareTarget> owned = std::move(target_or).value();
+  const Hosted target{owned.get(),
+                      dynamic_cast<bus::DeltaSnapshotter*>(owned.get()),
+                      dynamic_cast<bus::SlotSnapshotter*>(owned.get())};
+  LogInfo(tag + ": open (target " + owned->name() + ")");
 
   std::string close_reason = "drained";
+  // Malformed traffic (bad CRC, forged length, stalled stream, undecodable
+  // request): log it and end THIS session only.
+  auto protocol_error = [&](const std::string& why) {
+    close_reason = why;
+    LogError(tag + ": " + why);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.protocol_errors;
+  };
   uint64_t prev_sent = 0, prev_received = 0;
   while (!draining_.load()) {
     auto msg = stream.Recv(options_.idle_poll_ms, options_.io_timeout_ms);
     if (!msg.ok()) {
       const StatusCode code = msg.status().code();
       if (code == StatusCode::kDeadlineExceeded) continue;  // idle poll
-      if (code == StatusCode::kUnavailable) {
+      if (code == StatusCode::kUnavailable)
         close_reason = "peer closed";
-      } else {
-        // Malformed traffic (bad CRC, forged length, stalled stream):
-        // log it and end THIS session only.
-        close_reason = "protocol error: " + msg.status().ToString();
-        LogError(tag + ": " + close_reason);
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.protocol_errors;
-      }
+      else
+        protocol_error("protocol error: " + msg.status().ToString());
       break;
     }
     if (msg.value().kind != bus::Frame::kCommand) {
-      close_reason = "protocol error: unexpected frame kind " +
-                     std::to_string(msg.value().kind);
-      LogError(tag + ": " + close_reason);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.protocol_errors;
+      protocol_error("protocol error: unexpected frame kind " +
+                     std::to_string(msg.value().kind));
       break;
     }
 
     const uint64_t serve_start = WallMicros();
     const Op op = static_cast<Op>(msg.value().op);
-    Reply reply;
-    uint64_t batched = 0;
     auto request = DecodeRequest(op, msg.value().payload);
     if (!request.ok()) {
-      close_reason = "malformed " + std::string(OpName(op)) +
-                     " request: " + request.status().ToString();
-      LogError(tag + ": " + close_reason);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.protocol_errors;
+      protocol_error("malformed " + std::string(OpName(op)) +
+                     " request: " + request.status().ToString());
       break;
     }
-    batched = request.value().ops.size();
-    Serve(target.get(), request.value(), &reply);
+    Reply reply;
+    Serve(target, request.value(), &reply);
 
     const uint8_t kind = reply.code == StatusCode::kOk
                              ? bus::Frame::kReplyOk
@@ -198,7 +227,7 @@ void TargetServer::RunSession(net::Socket socket, uint64_t session_id) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.rpcs;
-      stats_.batched_ops += batched;
+      stats_.batched_ops += request.value().ops.size();
       stats_.rpc_wall_micros += WallMicros() - serve_start;
       stats_.bytes_received += stream.bytes_received() - prev_received;
       stats_.bytes_sent += stream.bytes_sent() - prev_sent;
@@ -212,13 +241,12 @@ void TargetServer::RunSession(net::Socket socket, uint64_t session_id) {
   }
 
   LogInfo(tag + ": closed (" + close_reason + ")");
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.sessions_closed;
-  active_sessions_.fetch_sub(1);
+  EndSession(session_id);
 }
 
-void TargetServer::Serve(bus::HardwareTarget* target, const Request& request,
+void TargetServer::Serve(const Hosted& hosted, const Request& request,
                          Reply* reply) {
+  bus::HardwareTarget* target = hosted.target;
   const Duration clock_before = target->clock().now();
   const Duration run_before = target->stats().run_time;
 
@@ -235,90 +263,64 @@ void TargetServer::Serve(bus::HardwareTarget* target, const Request& request,
       HelloInfo info;
       info.target_name = target->name();
       info.target_kind = static_cast<uint8_t>(target->kind());
-      if (dynamic_cast<bus::DeltaSnapshotter*>(target))
-        info.capabilities |= kCapDeltaSnapshots;
-      if (auto* slots = dynamic_cast<bus::SlotSnapshotter*>(target)) {
+      if (hosted.delta) info.capabilities |= kCapDeltaSnapshots;
+      if (hosted.slots) {
         info.capabilities |= kCapSlots;
-        info.num_slots = slots->NumSlots();
+        info.num_slots = hosted.slots->NumSlots();
       }
       info.state_format_version = snapshot::kStateFormatVersion;
       info.shape_digest = options_.shape_digest;
       reply->blob = EncodeHelloInfo(info);
       break;
     }
-    case Op::kBatch: {
-      auto reads = bus::ExecuteMmioOps(target, request.ops);
-      if (!reads.ok())
-        SetStatus(reply, reads.status());
-      else
-        reply->read_values = std::move(reads).value();
+    case Op::kBatch:
+      Answer(reply, bus::ExecuteMmioOps(target, request.ops),
+             [&](std::vector<uint32_t> reads) {
+               reply->read_values = std::move(reads);
+             });
       break;
-    }
     case Op::kReset:
       SetStatus(reply, target->ResetHardware());
       break;
-    case Op::kSaveState: {
-      auto state = target->SaveState();
-      if (!state.ok())
-        SetStatus(reply, state.status());
-      else
-        reply->blob = snapshot::SerializeState(state.value());
+    case Op::kSaveState:
+      Answer(reply, target->SaveState(), [&](const sim::HardwareState& st) {
+        reply->blob = snapshot::SerializeState(st);
+      });
       break;
-    }
-    case Op::kRestoreState: {
-      auto state = snapshot::DeserializeState(request.blob);
-      if (!state.ok())
-        SetStatus(reply, state.status());
-      else
-        SetStatus(reply, target->RestoreState(state.value()));
+    case Op::kRestoreState:
+      Answer(reply, snapshot::DeserializeState(request.blob),
+             [&](const sim::HardwareState& st) {
+               SetStatus(reply, target->RestoreState(st));
+             });
       break;
-    }
-    case Op::kStateHash: {
-      auto hash = target->StateHash();
-      if (!hash.ok())
-        SetStatus(reply, hash.status());
-      else
-        reply->value64 = hash.value();
+    case Op::kStateHash:
+      Answer(reply, target->StateHash(),
+             [&](uint64_t hash) { reply->value64 = hash; });
       break;
-    }
-    case Op::kSaveDelta: {
-      auto* delta = dynamic_cast<bus::DeltaSnapshotter*>(target);
-      if (!delta) {
+    case Op::kSaveDelta:
+    case Op::kRestoreDelta:
+      if (!hosted.delta)
         SetStatus(reply, Unimplemented("target has no delta snapshots"));
-        break;
-      }
-      auto d = delta->SaveStateDelta();
-      if (!d.ok())
-        SetStatus(reply, d.status());
+      else if (request.op == Op::kSaveDelta)
+        Answer(reply, hosted.delta->SaveStateDelta(),
+               [&](const sim::StateDelta& d) {
+                 reply->blob = snapshot::SerializeStateDelta(d);
+               });
       else
-        reply->blob = snapshot::SerializeStateDelta(d.value());
+        Answer(reply, snapshot::DeserializeStateDelta(request.blob),
+               [&](const sim::StateDelta& d) {
+                 SetStatus(reply, hosted.delta->RestoreStateDelta(d));
+               });
       break;
-    }
-    case Op::kRestoreDelta: {
-      auto* delta = dynamic_cast<bus::DeltaSnapshotter*>(target);
-      if (!delta) {
-        SetStatus(reply, Unimplemented("target has no delta snapshots"));
-        break;
-      }
-      auto d = snapshot::DeserializeStateDelta(request.blob);
-      if (!d.ok())
-        SetStatus(reply, d.status());
-      else
-        SetStatus(reply, delta->RestoreStateDelta(d.value()));
-      break;
-    }
     case Op::kSlotSave:
-    case Op::kSlotRestore: {
-      auto* slots = dynamic_cast<bus::SlotSnapshotter*>(target);
-      if (!slots) {
+    case Op::kSlotRestore:
+      if (!hosted.slots)
         SetStatus(reply, Unimplemented("target has no snapshot slots"));
-        break;
-      }
-      SetStatus(reply, request.op == Op::kSlotSave
-                           ? slots->SaveLiveToSlot(request.slot)
-                           : slots->RestoreLiveFromSlot(request.slot));
+      else
+        SetStatus(reply, request.op == Op::kSlotSave
+                             ? hosted.slots->SaveLiveToSlot(request.slot)
+                             : hosted.slots->RestoreLiveFromSlot(request.slot));
       break;
-    }
     case Op::kStats:
       reply->blob = EncodeServerStats(stats());
       break;

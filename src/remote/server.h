@@ -20,19 +20,24 @@
 // Lifecycle: Drain() makes the server refuse new sessions (refusals get a
 // well-formed kUnavailable error reply, which clients map to the
 // campaign fail-over path) and tells every session to close once its
-// in-flight request has been served. Stop() drains and joins everything.
+// in-flight request has been served. A session's thread is joined by the
+// accept loop soon after the session closes, so a long-lived server holds
+// threads only for its live sessions. Stop() drains and joins everything.
 // hardsnapd wires SIGINT/SIGTERM to exactly this sequence.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bus/delta_support.h"
+#include "bus/slot_support.h"
 #include "bus/target.h"
 #include "common/status.h"
 #include "net/frame_stream.h"
@@ -85,18 +90,32 @@ class TargetServer {
 
   bool draining() const { return draining_.load(); }
   unsigned active_sessions() const { return active_sessions_.load(); }
+  // Session threads not yet joined: the live sessions plus any that closed
+  // since the accept loop last polled.
+  size_t session_threads() const;
   ServerStats stats() const;
 
  private:
   TargetServer(net::Listener listener, TargetFactory factory,
                TargetServerOptions options);
 
+  // A session's target and its optional capabilities, looked up once
+  // when the session opens.
+  struct Hosted {
+    bus::HardwareTarget* target;
+    bus::DeltaSnapshotter* delta;
+    bus::SlotSnapshotter* slots;
+  };
+
   void AcceptLoop();
   void RunSession(net::Socket socket, uint64_t session_id);
-  // Serves one decoded request. Fills `reply`; returns false when the
-  // session must end (protocol violation already logged).
-  void Serve(bus::HardwareTarget* target, const Request& request,
-             Reply* reply);
+  // Counts the session closed and queues its thread for JoinFinished.
+  void EndSession(uint64_t session_id);
+  // Joins the threads of sessions that have closed.
+  void JoinFinished();
+  // Serves one decoded request: fills `reply` with the result, or with
+  // the device-level error, plus the side-band irq and time fields.
+  void Serve(const Hosted& hosted, const Request& request, Reply* reply);
   void Refuse(net::Socket socket, const std::string& why);
 
   net::Listener listener_;
@@ -108,8 +127,10 @@ class TargetServer {
   std::atomic<bool> stopping_{false};
   std::atomic<unsigned> active_sessions_{0};
 
-  mutable std::mutex mu_;  // guards sessions_, stats_, stopped_
-  std::vector<std::thread> sessions_;
+  // Guards sessions_, finished_, stats_, stopped_.
+  mutable std::mutex mu_;
+  std::map<uint64_t, std::thread> sessions_;  // by session id
+  std::vector<uint64_t> finished_;  // closed sessions not yet joined
   ServerStats stats_;
   bool stopped_ = false;
   uint64_t next_session_id_ = 1;

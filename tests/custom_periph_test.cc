@@ -107,11 +107,11 @@ TEST(CustomPeripheralTest, ScanChainSnapshotsCoverIt) {
   ASSERT_EQ(t.Read32(0x0c).value(), 300u);
 
   // Snapshot mid-life, diverge, restore through the scan chain.
-  ASSERT_TRUE(t.SaveToSlot(0).ok());
+  ASSERT_TRUE(t.SaveLiveToSlot(0).ok());
   ASSERT_TRUE(t.Write32(0x00, 0b10).ok());  // clear acc
   ASSERT_TRUE(t.Run(1).ok());
   ASSERT_EQ(t.Read32(0x0c).value(), 0u);
-  ASSERT_TRUE(t.RestoreFromSlot(0).ok());
+  ASSERT_TRUE(t.RestoreLiveFromSlot(0).ok());
   EXPECT_EQ(t.Read32(0x0c).value(), 300u);
 }
 

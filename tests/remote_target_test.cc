@@ -11,8 +11,10 @@
 // server or its other sessions.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bus/batch_support.h"
@@ -486,6 +488,31 @@ TEST(RemoteServerTest, StopKillsLiveSessionsAndClientsFailFast) {
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(IsInfrastructureFailure(s.code())) << s.ToString();
   EXPECT_FALSE(remote.value()->responsive());
+}
+
+// A long-lived server must not keep the thread of every session it ever
+// served: each one is joined soon after it closes.
+TEST(RemoteServerTest, ClosedSessionsAreJoined) {
+  TargetServerOptions options;
+  options.accept_poll_ms = 5;
+  auto server = StartServer(options);
+  constexpr uint64_t kSessions = 40;
+  for (uint64_t i = 0; i < kSessions; ++i) {
+    auto remote = RemoteTarget::Connect(server->bound(), FastOptions());
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    ASSERT_TRUE(remote.value()->ResetHardware().ok());
+  }  // each client hangs up here, before the next one connects
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((server->stats().sessions_closed < kSessions ||
+          server->session_threads() > 0) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(server->stats().sessions_accepted, kSessions);
+  EXPECT_EQ(server->stats().sessions_closed, kSessions);
+  EXPECT_EQ(server->active_sessions(), 0u);
+  EXPECT_EQ(server->session_threads(), 0u);
 }
 
 TEST(RemoteServerTest, PerRpcStatsAccumulate) {

@@ -307,9 +307,9 @@ TEST(TargetDeltaTest, FpgaSlotRestoreInvalidatesMirror) {
   ASSERT_TRUE(target->ResetHardware().ok());
   auto base = target->SaveState();
   ASSERT_TRUE(base.ok());
-  ASSERT_TRUE(target->SaveToSlot(1).ok());
+  ASSERT_TRUE(target->SaveLiveToSlot(1).ok());
   ASSERT_TRUE(target->Run(20).ok());
-  ASSERT_TRUE(target->RestoreFromSlot(1).ok());
+  ASSERT_TRUE(target->RestoreLiveFromSlot(1).ok());
   // Mirror is gone: the next delta save must degrade to a full payload.
   auto d = target->SaveStateDelta();
   ASSERT_TRUE(d.ok());

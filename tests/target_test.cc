@@ -107,41 +107,23 @@ TEST(FpgaTargetTest, SlotSaveRestoreRoundTrips) {
   ASSERT_TRUE(t.Write32(TimerAddr(timer_regs::kLoad), 50).ok());
   ASSERT_TRUE(t.Write32(TimerAddr(timer_regs::kCtrl), 0b011).ok());
   ASSERT_TRUE(t.Run(10).ok());
-  ASSERT_TRUE(t.SaveToSlot(3).ok());
-  EXPECT_TRUE(t.SlotOccupied(3));
+  ASSERT_TRUE(t.SaveLiveToSlot(3).ok());
 
   ASSERT_TRUE(t.Run(100).ok());
   EXPECT_EQ(t.Read32(TimerAddr(timer_regs::kStatus)).value(), 1u);
 
-  ASSERT_TRUE(t.RestoreFromSlot(3).ok());
+  ASSERT_TRUE(t.RestoreLiveFromSlot(3).ok());
   EXPECT_EQ(t.Read32(TimerAddr(timer_regs::kStatus)).value(), 0u);
   ASSERT_TRUE(t.Run(100).ok());
   EXPECT_EQ(t.Read32(TimerAddr(timer_regs::kStatus)).value(), 1u);
-}
-
-TEST(FpgaTargetTest, SwapExchangesStates) {
-  auto soc = SocDesign();
-  auto tr = fpga::FpgaTarget::Create(soc);
-  ASSERT_TRUE(tr.ok());
-  auto& t = *tr.value();
-  ASSERT_TRUE(t.ResetHardware().ok());
-
-  ASSERT_TRUE(t.Write32(TimerAddr(timer_regs::kLoad), 111).ok());
-  ASSERT_TRUE(t.SaveToSlot(0).ok());  // state A: LOAD=111
-  ASSERT_TRUE(t.Write32(TimerAddr(timer_regs::kLoad), 222).ok());
-
-  ASSERT_TRUE(t.SwapWithSlot(0).ok());  // live becomes A, slot holds B
-  EXPECT_EQ(t.Read32(TimerAddr(timer_regs::kLoad)).value(), 111u);
-  ASSERT_TRUE(t.SwapWithSlot(0).ok());
-  EXPECT_EQ(t.Read32(TimerAddr(timer_regs::kLoad)).value(), 222u);
 }
 
 TEST(FpgaTargetTest, EmptySlotRejected) {
   auto soc = SocDesign();
   auto tr = fpga::FpgaTarget::Create(soc);
   ASSERT_TRUE(tr.ok());
-  EXPECT_FALSE(tr.value()->RestoreFromSlot(7).ok());
-  EXPECT_FALSE(tr.value()->RestoreFromSlot(1000).ok());
+  EXPECT_FALSE(tr.value()->RestoreLiveFromSlot(7).ok());
+  EXPECT_FALSE(tr.value()->RestoreLiveFromSlot(1000).ok());
 }
 
 TEST(FpgaTargetTest, ReadbackMatchesScan) {
