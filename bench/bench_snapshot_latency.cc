@@ -12,8 +12,9 @@
 // with (small) design size; readback/CRIU are flat.
 //
 // The table reports modeled hardware time; the google-benchmark section
-// below it measures the host wall-clock cost of actually shifting the
-// emulated scan chain and of the simulator state dump.
+// below it measures the host wall-clock cost of an emulated scan pass
+// (the controller's proven shortcut and its bit-serial fallback) and of
+// the simulator state dump.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -113,26 +114,46 @@ void PrintTable() {
       "pass stays full-length, only the transferred payload shrinks)\n\n");
 }
 
-// Wall-clock: one full scan save on the emulated fabric.
-void BM_ScanChainSave(benchmark::State& bm_state) {
+// Wall-clock: one scan pass on the emulated fabric. The full chain gets
+// the controller's proven shortcut; a chain scoped to the SHA-256 core leaves
+// the other peripherals' flops unchained, so every pass falls back to
+// shifting bit by bit, clocking the whole SoC netlist once per cycle.
+constexpr const char* kScopedChain = "u_sha.";
+
+void ScanChainPass(benchmark::State& bm_state, const std::string& scope,
+                   bool restore) {
   auto d = rtl::CompileVerilog(periph::BuildSoc(periph::DefaultCorpus()),
                                "soc");
   HS_CHECK(d.ok());
-  auto inst = scanchain::InsertScanChain(d.value());
+  auto inst = scanchain::InsertScanChain(d.value(), {scope});
   HS_CHECK(inst.ok());
   auto sim = sim::Simulator::Create(inst.value().design);
   HS_CHECK(sim.ok());
   sim::Simulator simulator = std::move(sim).value();
   HS_CHECK(simulator.PokeInput("uart_rx", 1).ok());
   scanchain::ScanController ctrl(&simulator, inst.value().map);
+  auto snapshot = ctrl.Save();
+  HS_CHECK(snapshot.ok());
   for (auto _ : bm_state) {
-    auto saved = ctrl.Save();
-    benchmark::DoNotOptimize(saved);
+    if (restore) {
+      HS_CHECK(ctrl.Restore(snapshot.value()).ok());
+    } else {
+      auto saved = ctrl.Save();
+      benchmark::DoNotOptimize(saved);
+    }
   }
   bm_state.SetLabel(std::to_string(inst.value().map.total_bits) +
-                    " chain bits");
+                    " chain bits, " +
+                    (ctrl.shortcut_proven() ? "shortcut" : "bit-serial"));
 }
+
+void BM_ScanChainSave(benchmark::State& s) { ScanChainPass(s, "", false); }
 BENCHMARK(BM_ScanChainSave)->Unit(benchmark::kMillisecond);
+
+void BM_ScanChainSaveBitSerial(benchmark::State& s) {
+  ScanChainPass(s, kScopedChain, false);
+}
+BENCHMARK(BM_ScanChainSaveBitSerial)->Unit(benchmark::kMillisecond);
 
 // Wall-clock: simulator-native state dump (the primitive under CRIU).
 void BM_SimulatorDumpState(benchmark::State& bm_state) {
@@ -148,26 +169,14 @@ void BM_SimulatorDumpState(benchmark::State& bm_state) {
 }
 BENCHMARK(BM_SimulatorDumpState)->Unit(benchmark::kMicrosecond);
 
-// Wall-clock: restore through the scan chain (emulated fabric).
-void BM_ScanChainRestore(benchmark::State& bm_state) {
-  auto d = rtl::CompileVerilog(periph::BuildSoc(periph::DefaultCorpus()),
-                               "soc");
-  HS_CHECK(d.ok());
-  auto inst = scanchain::InsertScanChain(d.value());
-  HS_CHECK(inst.ok());
-  auto sim = sim::Simulator::Create(inst.value().design);
-  HS_CHECK(sim.ok());
-  sim::Simulator simulator = std::move(sim).value();
-  HS_CHECK(simulator.PokeInput("uart_rx", 1).ok());
-  scanchain::ScanController ctrl(&simulator, inst.value().map);
-  auto snapshot = ctrl.Save();
-  HS_CHECK(snapshot.ok());
-  for (auto _ : bm_state) {
-    HS_CHECK(ctrl.Restore(snapshot.value()).ok());
-  }
-  bm_state.SetLabel("full save+restore pass");
-}
+// Wall-clock: restore through the scan chain (a full save+restore pass).
+void BM_ScanChainRestore(benchmark::State& s) { ScanChainPass(s, "", true); }
 BENCHMARK(BM_ScanChainRestore)->Unit(benchmark::kMillisecond);
+
+void BM_ScanChainRestoreBitSerial(benchmark::State& s) {
+  ScanChainPass(s, kScopedChain, true);
+}
+BENCHMARK(BM_ScanChainRestoreBitSerial)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

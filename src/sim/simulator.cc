@@ -261,6 +261,12 @@ void Simulator::CommitEdge() {
   }
 }
 
+void Simulator::CommitState(const HardwareState& next, uint64_t cycles) {
+  HS_CHECK(ShapeMatches(next));
+  WriteState(next, /*mark_dirty=*/true);
+  cycle_count_ += cycles;
+}
+
 void Simulator::Tick(unsigned cycles) {
   for (unsigned c = 0; c < cycles; ++c) {
     Eval();
@@ -353,42 +359,53 @@ HardwareState Simulator::DumpState() const {
   return st;
 }
 
-Status Simulator::RestoreState(const HardwareState& st) {
-  if (st.flops.size() != design_.flops().size())
-    return InvalidArgument("snapshot flop count mismatch");
-  if (st.memories.size() != memories_.size())
-    return InvalidArgument("snapshot memory count mismatch");
-  for (size_t m = 0; m < memories_.size(); ++m) {
-    if (st.memories[m].size() != memories_[m].size())
-      return InvalidArgument("snapshot memory depth mismatch");
-  }
+bool Simulator::ShapeMatches(const HardwareState& st) const {
+  if (st.flops.size() != design_.flops().size() ||
+      st.memories.size() != memories_.size())
+    return false;
+  for (size_t m = 0; m < memories_.size(); ++m)
+    if (st.memories[m].size() != memories_[m].size()) return false;
+  return true;
+}
+
+uint64_t Simulator::WriteState(const HardwareState& st, bool mark_dirty) {
   const auto& flops = design_.flops();
   uint64_t written = 0;
   for (size_t i = 0; i < flops.size(); ++i) {
     const uint64_t v = TruncBits(st.flops[i], design_.signal(flops[i].q).width);
-    if (values_[flops[i].q] != v) {
-      values_[flops[i].q] = v;
-      ++written;
-    }
-    shadow_.flops[i] = v;
+    if (values_[flops[i].q] == v) continue;
+    values_[flops[i].q] = v;
+    ++written;
+    if (mark_dirty) flop_dirty_.MarkWord(i);
   }
   for (size_t m = 0; m < memories_.size(); ++m) {
     auto& mem = memories_[m];
-    const auto& src = st.memories[m];
+    const unsigned width = design_.memories()[m].width;
     for (size_t w = 0; w < mem.size(); ++w) {
-      if (mem[w] != src[w]) {
-        mem[w] = src[w];
-        ++written;
-      }
+      const uint64_t v = TruncBits(st.memories[m][w], width);
+      if (mem[w] == v) continue;
+      mem[w] = v;
+      ++written;
+      if (mark_dirty) mem_dirty_[m].MarkWord(w);
     }
-    shadow_.memories[m] = src;
   }
+  dirty_ = true;
+  return written;
+}
+
+Status Simulator::RestoreState(const HardwareState& st) {
+  if (!ShapeMatches(st))
+    return InvalidArgument("snapshot shape does not match the design");
+  const uint64_t written = WriteState(st, /*mark_dirty=*/false);
+  const auto& flops = design_.flops();
+  for (size_t i = 0; i < flops.size(); ++i)
+    shadow_.flops[i] = values_[flops[i].q];
+  shadow_.memories = memories_;
   flop_dirty_.ClearAll();
   for (auto& bm : mem_dirty_) bm.ClearAll();
   ++delta_stats_.restores;
   delta_stats_.words_restored += written;
   delta_stats_.full_words += StateWords(st);
-  dirty_ = true;
   return Status::Ok();
 }
 

@@ -94,6 +94,8 @@ class Simulator {
   // state touches O(diff) words), and the call establishes a new dirty-
   // tracking sync point (see below).
   Status RestoreState(const HardwareState& state);
+  // Whether `st` has this design's flop count and memory depths.
+  bool ShapeMatches(const HardwareState& st) const;
 
   // --- delta snapshotting --------------------------------------------------
   // The simulator tracks which kChunkWords-sized chunks of architectural
@@ -116,6 +118,13 @@ class Simulator {
   void MarkSynced();
   const DeltaStats& delta_stats() const { return delta_stats_; }
 
+  // Commits `next` as the state that `cycles` clock edges produce, without
+  // simulating them: like an edge it truncates to width, marks changed
+  // chunks dirty and starts no new sync point; cycle_count() advances by
+  // `cycles`. For a caller that has proven what those edges compute (the
+  // scan controller's shortcut). `next` must have the design's shape.
+  void CommitState(const HardwareState& next, uint64_t cycles);
+
   // Cycles executed since construction (not part of architectural state).
   uint64_t cycle_count() const { return cycle_count_; }
 
@@ -127,6 +136,9 @@ class Simulator {
 
   Status Levelize();
   void CommitEdge();
+  // Writes `st` over the live state and returns how many words changed;
+  // with `mark_dirty` each change marks its chunk, as a clock edge does.
+  uint64_t WriteState(const HardwareState& st, bool mark_dirty);
 
   rtl::Design design_;
   // Lazily settled: `dirty_` marks pending input/state pokes; Eval() is

@@ -1,12 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
+#include "periph/periph.h"
 #include "rtl/elaborate.h"
 #include "scanchain/scan_controller.h"
 #include "scanchain/scan_pass.h"
 #include "sim/simulator.h"
 
 namespace hardsnap::scanchain {
+
+// Runs the bit-serial pass whatever the proof says: the oracle the
+// shortcut is checked against.
+class ScanControllerPeer {
+ public:
+  static Result<sim::HardwareState> BitSerial(
+      ScanController* ctrl, const sim::HardwareState* incoming) {
+    return ctrl->Pass(incoming, /*bit_serial=*/true);
+  }
+};
+
 namespace {
 
 rtl::Design Compile(const std::string& src) {
@@ -257,6 +271,16 @@ TEST(ScanControllerTest, ScanShiftCostMeasuredInCycles) {
   EXPECT_EQ(sim.cycle_count() - before, ctrl.PassCycles());
 }
 
+TEST(ScanControllerTest, MisShapedStateRejected) {
+  auto inst = MustInstrument(Compile(kMixedDesign));
+  auto sim = MustSim(inst.design);
+  ScanController ctrl(&sim, inst.map);
+  auto st = sim.DumpState();
+  st.memories[0].pop_back();  // one word short of the memory's depth
+  EXPECT_FALSE(ctrl.SaveRestore(st).ok());
+  EXPECT_FALSE(ctrl.Restore(st).ok());
+}
+
 TEST(ScanScopeTest, ScopedInstrumentationOnlyChainsPrefix) {
   auto d = Compile(R"(
     module leaf(input clk, input [7:0] d, output [7:0] q);
@@ -278,6 +302,17 @@ TEST(ScanScopeTest, ScopedInstrumentationOnlyChainsPrefix) {
   EXPECT_EQ(inst.map.slots[0].signal_name, "u_a.state");
 }
 
+sim::HardwareState RandomState(const rtl::Design& d, Rng* rng) {
+  sim::HardwareState st;
+  for (const auto& ff : d.flops())
+    st.flops.push_back(rng->Bits(d.signal(ff.q).width));
+  for (const auto& mem : d.memories()) {
+    st.memories.emplace_back(mem.depth);
+    for (auto& word : st.memories.back()) word = rng->Bits(mem.width);
+  }
+  return st;
+}
+
 // Property test: random states shift in and out intact.
 class ScanRoundTripTest : public ::testing::TestWithParam<int> {};
 
@@ -286,19 +321,7 @@ TEST_P(ScanRoundTripTest, RandomStateRoundTrips) {
   auto inst = MustInstrument(d);
   auto sim = MustSim(inst.design);
   Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 7);
-
-  sim::HardwareState target;
-  target.flops.resize(inst.design.flops().size());
-  for (size_t i = 0; i < target.flops.size(); ++i) {
-    unsigned w = inst.design.signal(inst.design.flops()[i].q).width;
-    target.flops[i] = rng.Bits(w);
-  }
-  target.memories.resize(inst.design.memories().size());
-  for (size_t m = 0; m < target.memories.size(); ++m) {
-    const auto& mem = inst.design.memories()[m];
-    target.memories[m].resize(mem.depth);
-    for (auto& word : target.memories[m]) word = rng.Bits(mem.width);
-  }
+  const sim::HardwareState target = RandomState(inst.design, &rng);
 
   ScanController ctrl(&sim, inst.map);
   ASSERT_TRUE(ctrl.Restore(target).ok());
@@ -309,6 +332,225 @@ TEST_P(ScanRoundTripTest, RandomStateRoundTrips) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScanRoundTripTest, ::testing::Range(0, 8));
+
+// --- proven shortcut vs the bit-serial oracle ------------------------------
+
+std::vector<std::string> ScanPins(const ScanChainMap& map) {
+  std::vector<std::string> pins = {"scan_enable", "scan_in", "scan_out",
+                                   "scan_hold"};
+  for (const auto& mp : map.mem_ports)
+    for (const char* suffix : {"_en", "_addr", "_wdata", "_wen", "_rdata"})
+      pins.push_back(mp.port_prefix + suffix);
+  return pins;
+}
+
+// A controller on `dut` and the bit-serial oracle on a twin simulator of
+// the same netlist, driven through the same stimuli and passes.
+class Twin {
+ public:
+  explicit Twin(const InstrumentedDesign& inst)
+      : map_(inst.map),
+        dut_(MustSim(inst.design)),
+        ref_(MustSim(inst.design)),
+        ctrl_(&dut_, map_),
+        oracle_(&ref_, map_) {}
+
+  const ScanController& ctrl() const { return ctrl_; }
+  sim::Simulator& dut() { return dut_; }
+
+  // Loads `st` and random values on every input pin, except the ones that
+  // keep the shortcut off (scan_hold, each port's en/wen), which stay low.
+  void Randomize(const sim::HardwareState& st, Rng* rng) {
+    const rtl::Design& d = dut_.design();
+    std::vector<std::string> idle = {"scan_hold"};
+    for (const auto& mp : map_.mem_ports) {
+      idle.push_back(mp.port_prefix + "_en");
+      idle.push_back(mp.port_prefix + "_wen");
+    }
+    for (auto* s : {&dut_, &ref_}) ASSERT_TRUE(s->RestoreState(st).ok());
+    for (rtl::SignalId id = 0; id < static_cast<rtl::SignalId>(
+                                        d.signals().size());
+         ++id) {
+      const auto& sig = d.signal(id);
+      if (sig.kind != rtl::SignalKind::kInput) continue;
+      const bool low =
+          std::find(idle.begin(), idle.end(), sig.name) != idle.end();
+      Poke(sig.name, low ? 0 : rng->Bits(sig.width));
+    }
+  }
+
+  void Poke(const std::string& pin, uint64_t v) {
+    for (auto* s : {&dut_, &ref_}) ASSERT_TRUE(s->PokeInput(pin, v).ok());
+  }
+
+  void Tick(unsigned cycles) {
+    dut_.Tick(cycles);
+    ref_.Tick(cycles);
+  }
+
+  // One pass of each kind on both sides; `incoming` is ignored by Save.
+  enum class Kind { kSave, kSaveRestore, kRestore };
+  void Pass(Kind kind, const sim::HardwareState& incoming) {
+    const uint64_t before = dut_.cycle_count();
+    if (kind == Kind::kRestore) {
+      EXPECT_TRUE(ctrl_.Restore(incoming).ok());
+      EXPECT_TRUE(ScanControllerPeer::BitSerial(&oracle_, &incoming).ok());
+    } else {
+      const bool save = kind == Kind::kSave;
+      auto got = save ? ctrl_.Save() : ctrl_.SaveRestore(incoming);
+      auto want =
+          ScanControllerPeer::BitSerial(&oracle_, save ? nullptr : &incoming);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_EQ(got.value(), want.value()) << "returned state";
+    }
+    EXPECT_EQ(dut_.cycle_count() - before, ctrl_.PassCycles());
+    ExpectSame();
+  }
+
+  void ExpectSame() {
+    EXPECT_EQ(dut_.DumpState(), ref_.DumpState()) << "live state";
+    EXPECT_EQ(dut_.cycle_count(), ref_.cycle_count());
+    for (const auto& pin : ScanPins(map_))
+      EXPECT_EQ(dut_.Peek(pin).value(), ref_.Peek(pin).value()) << pin;
+  }
+
+  // Random states and pins, every pass kind, then a few functional cycles
+  // to show the pins were left alike too.
+  void RunRounds(uint64_t seed, int rounds) {
+    Rng rng(seed);
+    const rtl::Design& d = dut_.design();
+    for (int r = 0; r < rounds; ++r) {
+      Randomize(RandomState(d, &rng), &rng);
+      const auto kind = static_cast<Kind>(r % 3);
+      Pass(kind, RandomState(d, &rng));
+      Tick(3);
+      ExpectSame();
+    }
+  }
+
+ private:
+  const ScanChainMap& map_;
+  sim::Simulator dut_;
+  sim::Simulator ref_;
+  ScanController ctrl_;
+  ScanController oracle_;
+};
+
+struct NamedDesign {
+  const char* top;
+  std::string (*source)();
+};
+
+void PrintTo(const NamedDesign& d, std::ostream* os) { *os << d.top; }
+
+std::string SocSource() { return periph::BuildSoc(periph::DefaultCorpus()); }
+
+const NamedDesign kShortcutDesigns[] = {
+    {"hs_timer", periph::TimerVerilog},   {"hs_uart", periph::UartVerilog},
+    {"hs_watchdog", periph::WatchdogVerilog},
+    {"hs_aes128", periph::Aes128Verilog}, {"hs_sha256", periph::Sha256Verilog},
+    {"soc", SocSource},
+};
+
+class ScanShortcutTest : public ::testing::TestWithParam<NamedDesign> {};
+
+TEST_P(ScanShortcutTest, MatchesBitSerialOracle) {
+  auto d = rtl::CompileVerilog(GetParam().source(), GetParam().top);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  auto inst = MustInstrument(d.value());
+  Twin twin(inst);
+  ASSERT_TRUE(twin.ctrl().shortcut_proven());
+  twin.RunRounds(0x5ca11ab1e, 6);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Peripherals, ScanShortcutTest, ::testing::ValuesIn(kShortcutDesigns),
+    [](const ::testing::TestParamInfo<NamedDesign>& info) {
+      return std::string(info.param.top);
+    });
+
+TEST(ScanShortcutProofTest, MixedDesignIsProven) {
+  auto inst = MustInstrument(Compile(kMixedDesign));
+  Twin twin(inst);
+  ASSERT_TRUE(twin.ctrl().shortcut_proven());
+  twin.RunRounds(17, 6);
+}
+
+TEST(ScanShortcutProofTest, ScopedChainFallsBack) {
+  auto d = Compile(R"(
+    module leaf(input clk, input [7:0] d, output [7:0] q);
+      reg [7:0] state;
+      always @(posedge clk) state <= d + 8'd1;
+      assign q = state;
+    endmodule
+    module top(input clk, input [7:0] in, output [7:0] out);
+      wire [7:0] mid;
+      leaf u_a (.clk(clk), .d(in), .q(mid));
+      leaf u_b (.clk(clk), .d(mid), .q(out));
+    endmodule
+  )");
+  ScanOptions opts;
+  opts.scope_prefix = "u_a.";
+  auto inst = MustInstrument(d, opts);
+  Twin twin(inst);
+  EXPECT_FALSE(twin.ctrl().shortcut_proven());
+  twin.RunRounds(3, 6);
+}
+
+// A chained flop whose next-state has lost its scan_hold arm keeps running
+// functionally during the memory phase: the proof must refuse it.
+TEST(ScanShortcutProofTest, EditedFlopNextFallsBack) {
+  auto inst = MustInstrument(Compile(kMixedDesign));
+  auto& ff = inst.design.mutable_flops()[inst.map.slots[0].flop_index];
+  ff.next = inst.design.expr(ff.next).args[2];  // Mux(se, shifted, next)
+  Twin twin(inst);
+  EXPECT_FALSE(twin.ctrl().shortcut_proven());
+  twin.RunRounds(5, 6);
+
+  // The edit matters: a Save now moves the state.
+  twin.Poke("rst", 0);
+  const auto before = twin.dut().DumpState();
+  twin.Pass(Twin::Kind::kSave, before);
+  EXPECT_NE(twin.dut().DumpState(), before);
+}
+
+// A functional memory write left ungated keeps writing during the pass.
+TEST(ScanShortcutProofTest, UngatedWriteFallsBack) {
+  auto inst = MustInstrument(Compile(kMixedDesign));
+  auto& mw = inst.design.mutable_mem_writes()[0];  // `if (we) mem[waddr]`
+  const auto& gated = inst.design.expr(mw.enable);
+  mw.enable = inst.design.expr(gated.args[0]).args[0];
+  Twin twin(inst);
+  EXPECT_FALSE(twin.ctrl().shortcut_proven());
+  twin.RunRounds(7, 6);
+
+  Rng rng(11);
+  auto st = RandomState(inst.design, &rng);
+  st.memories[0][3] = 0;
+  twin.Randomize(st, &rng);
+  for (const auto& [pin, v] : std::vector<std::pair<std::string, uint64_t>>{
+           {"we", 1}, {"waddr", 3}, {"in", 0x5a}})
+    twin.Poke(pin, v);
+  twin.Pass(Twin::Kind::kSave, st);
+  EXPECT_EQ(twin.dut().PeekMemory("mem", 3).value(), 0x5au);
+}
+
+// A pass that starts with a port's write strobe high writes through the
+// port, so a proven controller must still shift bit by bit.
+TEST(ScanShortcutProofTest, PassStartingWithWenHighFallsBack) {
+  auto inst = MustInstrument(Compile(kMixedDesign));
+  Twin twin(inst);
+  ASSERT_TRUE(twin.ctrl().shortcut_proven());
+  Rng rng(13);
+  auto st = RandomState(inst.design, &rng);
+  st.memories[0][0] = 0;
+  twin.Randomize(st, &rng);
+  twin.Poke("scan_mem_wen", 1);
+  twin.Poke("scan_mem_wdata", 0xa5);
+  twin.Pass(Twin::Kind::kSave, st);
+  EXPECT_EQ(twin.dut().PeekMemory("mem", 0).value(), 0xa5u);
+}
 
 }  // namespace
 }  // namespace hardsnap::scanchain
