@@ -69,8 +69,6 @@ class AxiLiteDriver {
   unsigned last_latency_cycles() const { return last_latency_; }
 
  private:
-  Status WaitHigh(const char* signal, unsigned max_cycles);
-
   sim::Simulator* sim_;
   unsigned last_latency_ = 0;
 };

@@ -32,10 +32,9 @@ Fuzzer::Fuzzer(bus::HardwareTarget* target, const vm::FirmwareImage& image,
   corpus_.push_back(std::vector<uint8_t>(options_.input_size, 0));
 }
 
-const sim::HardwareState& Fuzzer::harness_state() const {
-  static const sim::HardwareState kNone;
+sim::HardwareState Fuzzer::harness_state() const {
   auto snap = hw_.store().Get(harness_.snapshot);
-  return snap.ok() ? snap.value()->state : kNone;
+  return snap.ok() ? std::move(snap).value().state : sim::HardwareState{};
 }
 
 uint64_t Fuzzer::harness_hash() const {

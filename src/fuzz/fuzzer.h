@@ -118,7 +118,7 @@ class Fuzzer {
   bool snapshot_ready() const { return snapshot_ready_; }
   // Harness-point hardware state and its content hash (valid only once
   // snapshot_ready(); kSnapshotReset strategy).
-  const sim::HardwareState& harness_state() const;
+  sim::HardwareState harness_state() const;
   uint64_t harness_hash() const;
 
   // Adopt inputs found by other campaign workers as mutation parents.

@@ -185,10 +185,6 @@ Status Socket::RecvAll(void* data, size_t n, int timeout_ms,
   return Status::Ok();
 }
 
-void Socket::ShutdownBoth() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 void Socket::Close() {
   if (fd_ >= 0) {
     ::close(fd_);

@@ -54,10 +54,6 @@ class Socket {
   Status RecvAll(void* data, size_t n, int timeout_ms,
                  size_t* received = nullptr);
 
-  // Unblocks any thread parked in RecvAll on this socket (server
-  // shutdown path); subsequent operations fail with kUnavailable.
-  void ShutdownBoth();
-
   void Close();
 
  private:

@@ -171,8 +171,7 @@ Status CampaignPersistence::RecordHarnessSnapshot(
     auto existing = store_.ContentHash(id);
     if (existing.ok() && existing.value() == hash) return Status::Ok();
   }
-  store_.Put(harness, label);
-  return Status::Ok();
+  return store_.Put(harness, label).status();
 }
 
 bool CampaignPersistence::HarnessHashKnown(uint64_t content_hash) const {

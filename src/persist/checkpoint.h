@@ -106,10 +106,6 @@ class Fingerprint {
     h_ ^= v;
     h_ *= 1099511628211ull;
   }
-  void MixString(const std::string& s) {
-    Mix(s.size());
-    for (char c : s) Mix(static_cast<uint8_t>(c));
-  }
   uint64_t digest() const { return h_; }
 
  private:

@@ -53,7 +53,7 @@ const char* OpName(Op op);
 
 // HelloInfo::capabilities bits — which optional bus interfaces the
 // session's target implements (discovered server-side via dynamic_cast,
-// re-materialized client-side as the RemoteTarget subtype).
+// re-created client-side as the RemoteTarget subtype).
 inline constexpr uint32_t kCapDeltaSnapshots = 1u << 0;
 inline constexpr uint32_t kCapSlots = 1u << 1;
 

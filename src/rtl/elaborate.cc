@@ -327,6 +327,14 @@ class Elaborator {
     ExprId guard = kInvalidId;  // path condition for memory writes
   };
 
+  // A branch arm that walks `stmt` (nothing when null) into the arm's own
+  // context.
+  auto StmtArm(const ast::Stmt* stmt, const Scope& scope) {
+    return [this, stmt, &scope](WalkCtx* ctx) {
+      return stmt ? WalkStmt(*stmt, scope, ctx) : Status::Ok();
+    };
+  }
+
   Status WalkStmt(const ast::Stmt& s, const Scope& scope, WalkCtx* ctx) {
     switch (s.kind) {
       case StmtKind::kBlock:
@@ -339,8 +347,8 @@ class Elaborator {
         auto c = LowerExpr(*s.cond, scope, ctx->sequential ? nullptr : &ctx->env);
         if (!c.ok()) return c.status();
         ExprId cond = ToBool(c.value().id);
-        return WalkBranch(cond, s.then_stmt.get(), s.else_stmt.get(), scope,
-                          ctx, s.line);
+        return WalkBranch(cond, StmtArm(s.then_stmt.get(), scope),
+                          StmtArm(s.else_stmt.get(), scope), ctx, s.line);
       }
       case StmtKind::kCase:
         return WalkCase(s, 0, scope, ctx);
@@ -350,15 +358,15 @@ class Elaborator {
 
   // Lower if(cond) then else: walk both arms on copies of the env and merge
   // with muxes; memory writes get the path condition folded into enables.
-  Status WalkBranch(ExprId cond, const ast::Stmt* then_s,
-                    const ast::Stmt* else_s, const Scope& scope, WalkCtx* ctx,
-                    int line) {
+  template <typename ThenArm, typename ElseArm>
+  Status WalkBranch(ExprId cond, const ThenArm& then_arm,
+                    const ElseArm& else_arm, WalkCtx* ctx, int line) {
     WalkCtx then_ctx{ctx->sequential, ctx->env, {},
                      AndGuard(ctx->guard, cond)};
-    if (then_s) HS_RETURN_IF_ERROR(WalkStmt(*then_s, scope, &then_ctx));
+    HS_RETURN_IF_ERROR(then_arm(&then_ctx));
     WalkCtx else_ctx{ctx->sequential, ctx->env, {},
                      AndGuard(ctx->guard, design_->Unary(Op::kLogicNot, cond))};
-    if (else_s) HS_RETURN_IF_ERROR(WalkStmt(*else_s, scope, &else_ctx));
+    HS_RETURN_IF_ERROR(else_arm(&else_ctx));
 
     // Merge register/wire environments.
     std::set<SignalId> keys;
@@ -389,43 +397,18 @@ class Elaborator {
     return Status::Ok();
   }
 
-  // case(subject) lowered as an if/else-if chain (priority semantics).
-  Status WalkCase(const ast::Stmt& s, size_t item_idx, const Scope& scope,
+  // case(subject) from item `idx` on, lowered as an if/else-if chain
+  // (priority semantics): each labeled item is a branch whose else arm is
+  // the rest of the chain; the default item, wherever it appears, is the
+  // final else.
+  Status WalkCase(const ast::Stmt& s, size_t idx, const Scope& scope,
                   WalkCtx* ctx) {
-    // find default item (may appear anywhere; applies last)
-    if (item_idx >= s.items.size()) return Status::Ok();
-    const ast::CaseItem& item = s.items[item_idx];
-    if (item.labels.empty()) {
-      // default: executes only if no remaining labeled item matches. Since
-      // we lower in order, place default last.
-      if (item_idx + 1 == s.items.size())
-        return WalkStmt(*item.body, scope, ctx);
-      // move default to the end by recursing over the rest first
-      // (simple approach: treat default as the else of the chain below).
-    }
-    // Build the chain from this position.
-    return WalkCaseChain(s, item_idx, scope, ctx);
-  }
-
-  Status WalkCaseChain(const ast::Stmt& s, size_t idx, const Scope& scope,
-                       WalkCtx* ctx) {
-    // Collect default body (if any) to use as final else.
-    const ast::Stmt* default_body = nullptr;
-    for (const auto& item : s.items)
-      if (item.labels.empty()) default_body = item.body.get();
-
-    return WalkCaseItems(s, 0, default_body, scope, ctx);
-    (void)idx;
-  }
-
-  Status WalkCaseItems(const ast::Stmt& s, size_t idx,
-                       const ast::Stmt* default_body, const Scope& scope,
-                       WalkCtx* ctx) {
-    // Skip default items in the positional chain.
     while (idx < s.items.size() && s.items[idx].labels.empty()) ++idx;
     if (idx >= s.items.size()) {
-      if (default_body) return WalkStmt(*default_body, scope, ctx);
-      return Status::Ok();
+      const ast::Stmt* default_body = nullptr;
+      for (const auto& item : s.items)
+        if (item.labels.empty()) default_body = item.body.get();
+      return StmtArm(default_body, scope)(ctx);
     }
     const ast::CaseItem& item = s.items[idx];
     const Env* env_for_expr = ctx->sequential ? nullptr : &ctx->env;
@@ -438,40 +421,10 @@ class Elaborator {
       ExprId eq = design_->Binary(Op::kEq, subj.value().id, l.value().id);
       match = match == kInvalidId ? eq : design_->Binary(Op::kOr, match, eq);
     }
-    // then = item body; else = rest of chain. Reuse WalkBranch by packing
-    // the "rest of the chain" walk into a manual else context.
-    WalkCtx then_ctx{ctx->sequential, ctx->env, {}, AndGuard(ctx->guard, match)};
-    HS_RETURN_IF_ERROR(WalkStmt(*item.body, scope, &then_ctx));
-    WalkCtx else_ctx{ctx->sequential, ctx->env, {},
-                     AndGuard(ctx->guard, design_->Unary(Op::kLogicNot, match))};
-    HS_RETURN_IF_ERROR(
-        WalkCaseItems(s, idx + 1, default_body, scope, &else_ctx));
-
-    std::set<SignalId> keys;
-    for (const auto& [k, v] : then_ctx.env) keys.insert(k);
-    for (const auto& [k, v] : else_ctx.env) keys.insert(k);
-    for (SignalId k : keys) {
-      ExprId tv, fv;
-      auto base = ctx->env.find(k);
-      auto t = then_ctx.env.find(k);
-      auto f = else_ctx.env.find(k);
-      if (t != then_ctx.env.end()) tv = t->second;
-      else if (base != ctx->env.end()) tv = base->second;
-      else if (ctx->sequential) tv = design_->Sig(k);
-      else
-        return ErrAt(s.line, "latch inferred in case: '" +
-                                 design_->signal(k).name + "'");
-      if (f != else_ctx.env.end()) fv = f->second;
-      else if (base != ctx->env.end()) fv = base->second;
-      else if (ctx->sequential) fv = design_->Sig(k);
-      else
-        return ErrAt(s.line, "latch inferred in case: '" +
-                                 design_->signal(k).name + "'");
-      ctx->env[k] = tv == fv ? tv : design_->Mux(match, tv, fv);
-    }
-    for (auto& w : then_ctx.writes) ctx->writes.push_back(w);
-    for (auto& w : else_ctx.writes) ctx->writes.push_back(w);
-    return Status::Ok();
+    return WalkBranch(
+        match, StmtArm(item.body.get(), scope),
+        [&](WalkCtx* rest) { return WalkCase(s, idx + 1, scope, rest); }, ctx,
+        s.line);
   }
 
   ExprId AndGuard(ExprId guard, ExprId cond) {

@@ -296,81 +296,4 @@ Status Design::Validate() const {
   return Status::Ok();
 }
 
-Result<uint64_t> EvalConstExpr(const Design& d, ExprId id) {
-  const Expr& e = d.expr(id);
-  auto arg = [&](int i) -> Result<uint64_t> {
-    return EvalConstExpr(d, e.args[i]);
-  };
-  switch (e.op) {
-    case Op::kConst:
-      return e.imm;
-    case Op::kSignal:
-    case Op::kMemRead:
-      return InvalidArgument("expression is not constant");
-    default:
-      break;
-  }
-  // Unary / binary / other: evaluate children then fold.
-  std::vector<uint64_t> vals;
-  vals.reserve(e.args.size());
-  for (size_t i = 0; i < e.args.size(); ++i) {
-    auto r = arg(static_cast<int>(i));
-    if (!r.ok()) return r.status();
-    vals.push_back(r.value());
-  }
-  const unsigned w = e.width;
-  auto aw = [&](int i) { return d.expr(e.args[i]).width; };
-  switch (e.op) {
-    case Op::kNot: return TruncBits(~vals[0], w);
-    case Op::kNeg: return TruncBits(~vals[0] + 1, w);
-    case Op::kRedAnd: return vals[0] == LowMask(aw(0)) ? 1u : 0u;
-    case Op::kRedOr: return vals[0] != 0 ? 1u : 0u;
-    case Op::kRedXor: return XorReduce(vals[0], aw(0));
-    case Op::kLogicNot: return vals[0] == 0 ? 1u : 0u;
-    case Op::kAnd: return vals[0] & vals[1];
-    case Op::kOr: return vals[0] | vals[1];
-    case Op::kXor: return vals[0] ^ vals[1];
-    case Op::kAdd: return TruncBits(vals[0] + vals[1], w);
-    case Op::kSub: return TruncBits(vals[0] - vals[1], w);
-    case Op::kMul: return TruncBits(vals[0] * vals[1], w);
-    case Op::kDiv: return vals[1] == 0 ? LowMask(w) : TruncBits(vals[0] / vals[1], w);
-    case Op::kMod: return vals[1] == 0 ? TruncBits(vals[0], w) : TruncBits(vals[0] % vals[1], w);
-    case Op::kEq: return vals[0] == vals[1] ? 1u : 0u;
-    case Op::kNe: return vals[0] != vals[1] ? 1u : 0u;
-    case Op::kLtU: return vals[0] < vals[1] ? 1u : 0u;
-    case Op::kLeU: return vals[0] <= vals[1] ? 1u : 0u;
-    case Op::kGtU: return vals[0] > vals[1] ? 1u : 0u;
-    case Op::kGeU: return vals[0] >= vals[1] ? 1u : 0u;
-    case Op::kLtS: return SignExtend(vals[0], aw(0)) < SignExtend(vals[1], aw(1)) ? 1u : 0u;
-    case Op::kLeS: return SignExtend(vals[0], aw(0)) <= SignExtend(vals[1], aw(1)) ? 1u : 0u;
-    case Op::kGtS: return SignExtend(vals[0], aw(0)) > SignExtend(vals[1], aw(1)) ? 1u : 0u;
-    case Op::kGeS: return SignExtend(vals[0], aw(0)) >= SignExtend(vals[1], aw(1)) ? 1u : 0u;
-    case Op::kShl: return vals[1] >= w ? 0 : TruncBits(vals[0] << vals[1], w);
-    case Op::kShrL: return vals[1] >= 64 ? 0 : TruncBits(vals[0], aw(0)) >> vals[1];
-    case Op::kShrA: {
-      int64_t s = SignExtend(vals[0], aw(0));
-      uint64_t sh = vals[1] >= 63 ? 63 : vals[1];
-      return TruncBits(static_cast<uint64_t>(s >> sh), w);
-    }
-    case Op::kLogicAnd: return (vals[0] != 0 && vals[1] != 0) ? 1u : 0u;
-    case Op::kLogicOr: return (vals[0] != 0 || vals[1] != 0) ? 1u : 0u;
-    case Op::kMux: return vals[0] != 0 ? TruncBits(vals[1], w) : TruncBits(vals[2], w);
-    case Op::kConcat: {
-      uint64_t acc = 0;
-      for (size_t i = 0; i < vals.size(); ++i) {
-        acc = (acc << aw(static_cast<int>(i))) | TruncBits(vals[i], aw(static_cast<int>(i)));
-      }
-      return acc;
-    }
-    case Op::kSlice: return ExtractBits(vals[0], e.hi, e.lo);
-    case Op::kZext: return vals[0];
-    case Op::kSext: return TruncBits(static_cast<uint64_t>(SignExtend(vals[0], aw(0))), w);
-    case Op::kConst:
-    case Op::kSignal:
-    case Op::kMemRead:
-      break;
-  }
-  return Internal("unhandled op in EvalConstExpr");
-}
-
 }  // namespace hardsnap::rtl

@@ -202,8 +202,4 @@ class Design {
   SignalId reset_ = kInvalidId;
 };
 
-// Evaluate a pure-constant expression tree (elaboration-time folding).
-// Returns error if the tree references signals or memories.
-Result<uint64_t> EvalConstExpr(const Design& d, ExprId e);
-
 }  // namespace hardsnap::rtl

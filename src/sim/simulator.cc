@@ -14,15 +14,6 @@ using rtl::Op;
 using rtl::SignalId;
 using rtl::SignalKind;
 
-size_t HardwareState::CountBits(const rtl::Design& d) const {
-  size_t bits = 0;
-  for (size_t i = 0; i < flops.size(); ++i)
-    bits += d.signal(d.flops()[i].q).width;
-  for (size_t m = 0; m < memories.size(); ++m)
-    bits += memories[m].size() * d.memory(static_cast<rtl::MemoryId>(m)).width;
-  return bits;
-}
-
 Simulator::Simulator(const Design& design) : design_(design) {
   values_.assign(design.signals().size(), 0);
   memories_.resize(design.memories().size());

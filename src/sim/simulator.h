@@ -41,9 +41,6 @@ struct HardwareState {
   std::vector<std::vector<uint64_t>> memories;  // [memory id][word]
 
   bool operator==(const HardwareState&) const = default;
-
-  // Total architectural bits (matches DesignStats::state_bits()).
-  size_t CountBits(const rtl::Design& d) const;
 };
 
 class Simulator {

@@ -62,10 +62,10 @@ Status HwStateTracker::Save(HwHandle* handle) {
   if (!live.ok()) return live.status();
   if (handle->snapshot == kNoSnapshot) {
     HS_ASSIGN_OR_RETURN(handle->snapshot,
-                        store_.TryPut(std::move(live).value()));
+                        store_.Put(live.value()));
   } else {
     HS_RETURN_IF_ERROR(
-        store_.Update(handle->snapshot, std::move(live).value()));
+        store_.Update(handle->snapshot, live.value()));
   }
   Rebase(handle->snapshot);
   return Status::Ok();
@@ -85,27 +85,21 @@ Result<HwStateTracker::Rung> HwStateTracker::Restore(const HwHandle& handle) {
     HS_RETURN_IF_ERROR(target_->ResetHardware());
     return Rung::kReset;
   }
-  if (delta_ && live_base_ != kNoSnapshot && live_base_ != handle.snapshot) {
-    // Sibling: write only the chunks by which the two snapshots differ.
+  if (delta_ && live_base_ != kNoSnapshot) {
+    // Write only the chunks by which the handle differs from the sync
+    // point; for the sync point itself that is the empty delta, which
+    // reverts whatever the hardware dirtied since (O(dirty) on the
+    // simulator target).
     auto d = store_.DeltaBetween(live_base_, handle.snapshot);
     if (d.ok() && delta_->RestoreStateDelta(d.value()).ok()) {
+      const bool revert = live_base_ == handle.snapshot;
       Rebase(handle.snapshot);
-      return Rung::kDelta;
-    }
-  } else if (delta_ && live_base_ == handle.snapshot) {
-    // The sync point itself: an empty delta reverts whatever the hardware
-    // dirtied since (O(dirty) on the simulator target).
-    auto hash = store_.ContentHash(handle.snapshot);
-    auto base = store_.Get(handle.snapshot);
-    if (hash.ok() && base.ok()) {
-      sim::StateDelta revert = sim::EmptyDeltaFor(base.value()->state);
-      revert.base_hash = hash.value();
-      if (delta_->RestoreStateDelta(revert).ok()) return Rung::kRevert;
+      return revert ? Rung::kRevert : Rung::kDelta;
     }
   }
   auto snap = store_.Get(handle.snapshot);
   if (!snap.ok()) return snap.status();
-  HS_RETURN_IF_ERROR(target_->RestoreState(snap.value()->state));
+  HS_RETURN_IF_ERROR(target_->RestoreState(snap.value().state));
   Rebase(handle.snapshot);
   return Rung::kFull;
 }

@@ -44,8 +44,9 @@ class HwStateTracker {
   // free), else a delta against the live base, else a full transfer.
   Status Save(HwHandle* handle);
   // `handle` -> live hardware: slot; power-on reset for an empty handle;
-  // sibling delta; empty-delta revert when the handle is the live base;
-  // else a full transfer. Returns the rung that served it.
+  // a delta from the live base (kRevert when the handle is the live base,
+  // kDelta for a sibling); else a full transfer. Returns the rung that
+  // served it.
   Result<Rung> Restore(const HwHandle& handle);
   // Frees the handle's slot and snapshot (a live base is retained instead)
   // and empties it.

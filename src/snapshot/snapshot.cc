@@ -234,13 +234,10 @@ ChunkPtr SnapshotStore::Intern(std::vector<uint64_t> words) {
   return chunk;
 }
 
-SnapshotStore::Stored SnapshotStore::MakeStored(SnapshotId id,
-                                                const sim::HardwareState& state,
+SnapshotStore::Stored SnapshotStore::MakeStored(const sim::HardwareState& state,
                                                 std::string label) {
   Stored s;
-  s.snap.id = id;
-  s.snap.shape_digest = shape_;
-  s.snap.label = std::move(label);
+  s.label = std::move(label);
   s.num_flops = static_cast<uint32_t>(state.flops.size());
   s.mem_depths.reserve(state.memories.size());
   for (const auto& mem : state.memories)
@@ -261,43 +258,7 @@ SnapshotStore::Stored SnapshotStore::MakeStored(SnapshotId id,
   return s;
 }
 
-void SnapshotStore::DropCacheLocked(const Stored& s) const {
-  if (!s.materialized) return;
-  s.snap.state = sim::HardwareState{};
-  s.materialized = false;
-  cache_bytes_ -= s.logical_words * 8;
-}
-
-void SnapshotStore::EvictCachesLocked(const Stored* keep) const {
-  if (max_bytes_ == 0) return;
-  while (LiveBytesLocked() > max_bytes_) {
-    const Stored* victim = nullptr;
-    for (const auto& [id, s] : snapshots_) {
-      if (!s.materialized || &s == keep) continue;
-      if (victim == nullptr || s.last_access < victim->last_access)
-        victim = &s;
-    }
-    if (victim == nullptr) return;  // nothing left to evict
-    DropCacheLocked(*victim);
-    ++cache_evictions_;
-  }
-}
-
-Status SnapshotStore::EnforceCapLocked(const Stored* keep,
-                                       const char* op) const {
-  if (max_bytes_ == 0) return Status::Ok();
-  EvictCachesLocked(keep);
-  if (LiveBytesLocked() > max_bytes_)
-    return ResourceExhausted(
-        std::string(op) + " would exceed the snapshot store byte cap (" +
-        std::to_string(LiveBytesLocked()) + " > " +
-        std::to_string(max_bytes_) + " bytes after cache eviction)");
-  return Status::Ok();
-}
-
-void SnapshotStore::Materialize(const Stored& s) const {
-  s.last_access = ++access_tick_;
-  if (s.materialized) return;
+sim::HardwareState SnapshotStore::Assemble(const Stored& s) {
   sim::HardwareState st;
   st.flops.reserve(s.num_flops);
   st.memories.resize(s.mem_depths.size());
@@ -311,81 +272,54 @@ void SnapshotStore::Materialize(const Stored& s) const {
       st.memories[m].insert(st.memories[m].end(), s.chunks[ci]->begin(),
                             s.chunks[ci]->end());
   }
-  s.snap.state = std::move(st);
-  s.materialized = true;
-  cache_bytes_ += s.logical_words * 8;
+  return st;
 }
 
-SnapshotId SnapshotStore::Put(sim::HardwareState state, std::string label) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const SnapshotId id = next_id_++;
-  Stored s = MakeStored(id, state, std::move(label));
+Status SnapshotStore::InstallLocked(SnapshotId id, Stored s, const char* op) {
+  auto [it, inserted] = snapshots_.try_emplace(id);
+  Stored old = std::move(it->second);  // empty for a new id
   total_bytes_ += s.logical_words * 8;
-  cache_bytes_ += s.logical_words * 8;
-  s.snap.state = std::move(state);  // caller's copy doubles as the cache
-  s.materialized = true;
-  s.last_access = ++access_tick_;
-  snapshots_.emplace(id, std::move(s));
-  if (max_bytes_ != 0) EvictCachesLocked(nullptr);  // best effort, never fails
-  return id;
-}
-
-Result<SnapshotId> SnapshotStore::TryPut(sim::HardwareState state,
-                                         std::string label) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const SnapshotId id = next_id_++;
-  Stored s = MakeStored(id, state, std::move(label));
-  total_bytes_ += s.logical_words * 8;
-  cache_bytes_ += s.logical_words * 8;
-  s.snap.state = std::move(state);
-  s.materialized = true;
-  s.last_access = ++access_tick_;
-  auto [it, inserted] = snapshots_.emplace(id, std::move(s));
-  (void)inserted;
-  Status cap = EnforceCapLocked(nullptr, "TryPut");
-  if (!cap.ok()) {
-    // Roll back: the chunks we interned drop to refcount zero and free.
-    total_bytes_ -= it->second.logical_words * 8;
-    DropCacheLocked(it->second);
-    snapshots_.erase(it);
-    return cap;
-  }
-  return id;
-}
-
-Result<const Snapshot*> SnapshotStore::Get(SnapshotId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end())
-    return NotFound("snapshot " + std::to_string(id) + " does not exist");
-  Materialize(it->second);
-  return &it->second.snap;
-}
-
-Status SnapshotStore::Update(SnapshotId id, sim::HardwareState state) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end())
-    return NotFound("snapshot " + std::to_string(id) + " does not exist");
-  Stored s = MakeStored(id, state, std::move(it->second.snap.label));
-  total_bytes_ += s.logical_words * 8;
-  total_bytes_ -= it->second.logical_words * 8;
-  s.snap.state = std::move(state);
-  s.materialized = true;
-  s.last_access = ++access_tick_;
-  cache_bytes_ += s.logical_words * 8;
-  DropCacheLocked(it->second);
-  Stored old = std::move(it->second);
+  total_bytes_ -= old.logical_words * 8;
   it->second = std::move(s);
-  Status cap = EnforceCapLocked(nullptr, "Update");
-  if (!cap.ok()) {  // revert to the old content
-    total_bytes_ += old.logical_words * 8;
-    total_bytes_ -= it->second.logical_words * 8;
-    DropCacheLocked(it->second);
+  if (max_bytes_ == 0) return Status::Ok();
+  const size_t resident = ResidentBytesLocked();
+  if (resident <= max_bytes_) return Status::Ok();
+  // Roll back: chunks only the rejected content held drop to refcount zero.
+  total_bytes_ += old.logical_words * 8;
+  total_bytes_ -= it->second.logical_words * 8;
+  if (inserted)
+    snapshots_.erase(it);
+  else
     it->second = std::move(old);
-    return cap;
-  }
-  return Status::Ok();
+  return ResourceExhausted(std::string(op) +
+                           " would exceed the snapshot store byte cap (" +
+                           std::to_string(resident) + " > " +
+                           std::to_string(max_bytes_) + " bytes)");
+}
+
+Result<SnapshotId> SnapshotStore::Put(const sim::HardwareState& state,
+                                      std::string label) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const SnapshotId id = next_id_++;
+  HS_RETURN_IF_ERROR(
+      InstallLocked(id, MakeStored(state, std::move(label)), "Put"));
+  return id;
+}
+
+Result<Snapshot> SnapshotStore::Get(SnapshotId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = snapshots_.find(id);
+  if (it == snapshots_.end())
+    return NotFound("snapshot " + std::to_string(id) + " does not exist");
+  return Snapshot{id, shape_, it->second.label, Assemble(it->second)};
+}
+
+Status SnapshotStore::Update(SnapshotId id, const sim::HardwareState& state) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = snapshots_.find(id);
+  if (it == snapshots_.end())
+    return NotFound("snapshot " + std::to_string(id) + " does not exist");
+  return InstallLocked(id, MakeStored(state, it->second.label), "Update");
 }
 
 Status SnapshotStore::Drop(SnapshotId id) {
@@ -394,13 +328,12 @@ Status SnapshotStore::Drop(SnapshotId id) {
   if (it == snapshots_.end())
     return NotFound("snapshot " + std::to_string(id) + " does not exist");
   total_bytes_ -= it->second.logical_words * 8;
-  DropCacheLocked(it->second);
   snapshots_.erase(it);
   return Status::Ok();
 }
 
 Status SnapshotStore::ApplyDelta(const Stored& base,
-                                 const sim::StateDelta& delta, SnapshotId id,
+                                 const sim::StateDelta& delta,
                                  std::string label, Stored* out) {
   if (delta.chunk_words != kChunkWords)
     return InvalidArgument("delta chunk size mismatch");
@@ -411,9 +344,7 @@ Status SnapshotStore::ApplyDelta(const Stored& base,
     return InvalidArgument("delta base is not this snapshot's content");
 
   Stored s;
-  s.snap.id = id;
-  s.snap.shape_digest = shape_;
-  s.snap.label = std::move(label);
+  s.label = std::move(label);
   s.num_flops = base.num_flops;
   s.mem_depths = base.mem_depths;
   s.logical_words = base.logical_words;
@@ -432,7 +363,7 @@ Status SnapshotStore::ApplyDelta(const Stored& base,
         Intern(c.words);
   }
 
-  // Content hash over the chunk walk (no materialization; same function
+  // Content hash over the chunk walk (no assembly; same function
   // as sim::HashState so delta base hashes keep chaining).
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) {
@@ -464,17 +395,8 @@ Result<SnapshotId> SnapshotStore::PutDelta(SnapshotId base,
                     " does not exist");
   const SnapshotId id = next_id_++;
   Stored s;
-  HS_RETURN_IF_ERROR(
-      ApplyDelta(it->second, delta, id, std::move(label), &s));
-  total_bytes_ += s.logical_words * 8;
-  auto [sit, inserted] = snapshots_.emplace(id, std::move(s));
-  (void)inserted;
-  Status cap = EnforceCapLocked(nullptr, "PutDelta");
-  if (!cap.ok()) {
-    total_bytes_ -= sit->second.logical_words * 8;
-    snapshots_.erase(sit);
-    return cap;
-  }
+  HS_RETURN_IF_ERROR(ApplyDelta(it->second, delta, std::move(label), &s));
+  HS_RETURN_IF_ERROR(InstallLocked(id, std::move(s), "PutDelta"));
   return id;
 }
 
@@ -489,21 +411,9 @@ Status SnapshotStore::UpdateDelta(SnapshotId id, SnapshotId base,
   if (it == snapshots_.end())
     return NotFound("snapshot " + std::to_string(id) + " does not exist");
   Stored s;
-  HS_RETURN_IF_ERROR(ApplyDelta(base_it->second, delta, id,
-                                std::move(it->second.snap.label), &s));
-  total_bytes_ += s.logical_words * 8;
-  total_bytes_ -= it->second.logical_words * 8;
-  DropCacheLocked(it->second);
-  Stored old = std::move(it->second);
-  it->second = std::move(s);
-  Status cap = EnforceCapLocked(nullptr, "UpdateDelta");
-  if (!cap.ok()) {
-    total_bytes_ += old.logical_words * 8;
-    total_bytes_ -= it->second.logical_words * 8;
-    it->second = std::move(old);
-    return cap;
-  }
-  return Status::Ok();
+  HS_RETURN_IF_ERROR(
+      ApplyDelta(base_it->second, delta, it->second.label, &s));
+  return InstallLocked(id, std::move(s), "UpdateDelta");
 }
 
 Result<sim::StateDelta> SnapshotStore::DeltaBetween(SnapshotId base,
@@ -569,26 +479,6 @@ size_t SnapshotStore::ResidentBytes() const {
   return ResidentBytesLocked();
 }
 
-size_t SnapshotStore::LiveBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return LiveBytesLocked();
-}
-
-void SnapshotStore::SetMaxBytes(size_t max_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_bytes_ = max_bytes;
-  if (max_bytes_ != 0) EvictCachesLocked(nullptr);
-}
-
-SnapshotStore::Stats SnapshotStore::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats s = stats_;
-  s.cache_bytes = cache_bytes_;
-  s.live_bytes = LiveBytesLocked();
-  s.cache_evictions = cache_evictions_;
-  return s;
-}
-
 std::vector<SnapshotId> SnapshotStore::Ids() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SnapshotId> ids;
@@ -615,7 +505,7 @@ Result<std::vector<uint8_t>> SnapshotStore::Serialize() const {
   for (SnapshotId id : ids) {
     const Stored& s = snapshots_.at(id);
     w.PutU64(id);
-    w.PutString(s.snap.label);
+    w.PutString(s.label);
     // Delta against the previous snapshot when shapes allow; the first
     // snapshot (and any shape change) ships full. The delta's base_hash
     // chains each snapshot to its predecessor, so a corrupt link fails at
@@ -627,9 +517,8 @@ Result<std::vector<uint8_t>> SnapshotStore::Serialize() const {
       w.PutU32(static_cast<uint32_t>(blob.size()));
       w.PutBytes(blob.data(), blob.size());
     } else {
-      Materialize(s);
       w.PutU8(0);
-      std::vector<uint8_t> blob = SerializeState(s.snap.state);
+      std::vector<uint8_t> blob = SerializeState(Assemble(s));
       w.PutU32(static_cast<uint32_t>(blob.size()));
       w.PutBytes(blob.data(), blob.size());
     }
@@ -644,7 +533,6 @@ Status SnapshotStore::Restore(const std::vector<uint8_t>& bytes) {
   snapshots_.clear();
   intern_.clear();
   total_bytes_ = 0;
-  cache_bytes_ = 0;
 
   Status st = [&]() -> Status {
     HS_RETURN_IF_ERROR(VerifyCrc(bytes, "store blob"));
@@ -699,7 +587,7 @@ Status SnapshotStore::Restore(const std::vector<uint8_t>& bytes) {
 
     if (snapshots_.count(id.value()))
       return InvalidArgument("store blob: duplicate snapshot id");
-    Stored s = MakeStored(id.value(), state, std::move(label).value());
+    Stored s = MakeStored(state, std::move(label).value());
     total_bytes_ += s.logical_words * 8;
     snapshots_.emplace(id.value(), std::move(s));
     max_id = std::max(max_id, id.value());
@@ -718,7 +606,6 @@ Status SnapshotStore::Restore(const std::vector<uint8_t>& bytes) {
     snapshots_.clear();
     intern_.clear();
     total_bytes_ = 0;
-    cache_bytes_ = 0;
     next_id_ = 1;
   }
   return st;

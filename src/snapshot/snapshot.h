@@ -10,12 +10,13 @@
 // hardware snapshot").
 //
 // Internally the store is a content-addressed block store (blksnap-style):
-// every state is held as a vector of refcounted immutable chunks
+// every state is held only as a vector of refcounted immutable chunks
 // (sim::kChunkWords words each), interned by content hash, so sibling
-// snapshots that differ in a few chunks share the rest. The legacy
-// full-state API (Put/Get/Update) is preserved — Get materializes lazily
-// and caches — and the delta API (PutDelta/UpdateDelta/DeltaBetween)
-// creates and extracts snapshots in O(changed chunks).
+// snapshots that differ in a few chunks share the rest. Full states enter
+// through Put/Update and leave through Get, which assembles a copy from the
+// chunks; the delta API (PutDelta/UpdateDelta/DeltaBetween) creates and
+// extracts snapshots in O(changed chunks). Every ingest goes through one
+// install step that enforces the byte cap.
 #pragma once
 
 #include <cstdint>
@@ -77,12 +78,10 @@ using ChunkPtr = std::shared_ptr<const std::vector<uint64_t>>;
 // another snapshot may share).
 //
 // Thread safety: every public operation holds an internal mutex, so one
-// store may be shared by parallel campaign workers. The chunk payloads
-// themselves are immutable (`shared_ptr<const vector>`), so a pointer
-// returned by Get stays valid and readable while other threads Put/Drop
-// OTHER ids — but Update/UpdateDelta/Drop of the SAME id must not race a
-// reader of that id (the id-to-owner discipline is the caller's; each
-// campaign worker owns its own id range).
+// store may be shared by parallel campaign workers. Get returns a value,
+// so what a caller holds never changes under it; but Update/UpdateDelta/
+// Drop of the SAME id must not race a reader of that id (the id-to-owner
+// discipline is the caller's; each campaign worker owns its own id range).
 class SnapshotStore {
  public:
   // Cumulative accounting of chunk ingestion (monotonic; the dedup ratio
@@ -92,29 +91,24 @@ class SnapshotStore {
     uint64_t chunks_shared = 0;   // chunks satisfied by an existing copy
     uint64_t bytes_copied = 0;
     uint64_t bytes_shared = 0;
-    // Live-memory accounting (point-in-time, not cumulative):
-    uint64_t live_bytes = 0;      // resident chunk bytes + cache bytes
-    uint64_t cache_bytes = 0;     // materialization caches currently held
-    uint64_t cache_evictions = 0; // caches dropped by the byte cap
   };
 
   explicit SnapshotStore(uint64_t shape_digest) : shape_(shape_digest) {
     snapshots_.reserve(64);
   }
 
-  SnapshotId Put(sim::HardwareState state, std::string label = "");
+  // Stores `state` under a new id. Fails with kResourceExhausted when a
+  // byte cap is set (SetMaxBytes) and the resident chunks would exceed it.
+  Result<SnapshotId> Put(const sim::HardwareState& state,
+                         std::string label = "");
 
-  // Cap-aware Put: like Put, but when a byte cap is set (SetMaxBytes) and
-  // storing `state` would push LiveBytes past it even after evicting every
-  // cold materialization cache, fails with kResourceExhausted instead of
-  // growing without bound. Put itself never fails (legacy contract).
-  Result<SnapshotId> TryPut(sim::HardwareState state, std::string label = "");
-
-  Result<const Snapshot*> Get(SnapshotId id) const;
+  // The snapshot, assembled from its chunks. The result is the caller's
+  // own copy: later store operations never change it.
+  Result<Snapshot> Get(SnapshotId id) const;
 
   // Replace the state of an existing snapshot (the paper's UpdateState
   // overrides the snapshot associated with S_previous).
-  Status Update(SnapshotId id, sim::HardwareState state);
+  Status Update(SnapshotId id, const sim::HardwareState& state);
 
   Status Drop(SnapshotId id);
 
@@ -128,10 +122,12 @@ class SnapshotStore {
   // UpdateState: the hardware reported how the state moved since `base`).
   Status UpdateDelta(SnapshotId id, SnapshotId base,
                      const sim::StateDelta& delta);
-  // The chunks by which `next` differs from `base`. Chunks the two
-  // snapshots share structurally are skipped by pointer comparison.
+  // The chunks by which `next` differs from `base`, bound to `base` by its
+  // content hash. Chunks the two snapshots share structurally are skipped
+  // by pointer comparison, so DeltaBetween(id, id) is the empty delta that
+  // reverts a target to `id`.
   Result<sim::StateDelta> DeltaBetween(SnapshotId base, SnapshotId next) const;
-  // Content hash of a stored snapshot (HashState of its materialization).
+  // Content hash of a stored snapshot (sim::HashState of its state).
   Result<uint64_t> ContentHash(SnapshotId id) const;
 
   size_t size() const {
@@ -153,22 +149,17 @@ class SnapshotStore {
   Status Restore(const std::vector<uint8_t>& bytes);
 
   // --- memory cap --------------------------------------------------------
-  // Caps LiveBytes (resident chunks + materialization caches). When an
-  // ingest would exceed it, least-recently-used materialization caches are
-  // evicted first; if the chunks alone still do not fit, the ingest fails
-  // with kResourceExhausted (TryPut / PutDelta / Update / UpdateDelta)
-  // instead of OOMing. 0 = unlimited. NOTE: under a cap, a `Snapshot*`
-  // returned by Get may have its cached `state` evicted (and re-filled on
-  // the next Get) by a later store operation — cap users must not hold
-  // materialized pointers across ingests.
-  void SetMaxBytes(size_t max_bytes);
+  // Caps ResidentBytes. An ingest (Put / Update / PutDelta / UpdateDelta)
+  // that would exceed it is rolled back and fails with kResourceExhausted
+  // instead of OOMing. 0 = unlimited.
+  void SetMaxBytes(size_t max_bytes) {
+    std::lock_guard<std::mutex> lock(mu_);
+    max_bytes_ = max_bytes;
+  }
   size_t max_bytes() const {
     std::lock_guard<std::mutex> lock(mu_);
     return max_bytes_;
   }
-  // Resident chunk bytes plus materialization-cache bytes (the number the
-  // cap is enforced against).
-  size_t LiveBytes() const;
 
   // Total stored architectural bytes as the flat representation would
   // occupy (logical capacity accounting; O(1) running counter).
@@ -179,14 +170,14 @@ class SnapshotStore {
   // Bytes actually resident after structural sharing (walks the store).
   size_t ResidentBytes() const;
 
-  // Cumulative ingestion counters plus point-in-time live/cache bytes.
-  Stats stats() const;
+  Stats stats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_;
+  }
 
  private:
   struct Stored {
-    mutable Snapshot snap;  // snap.state doubles as materialization cache
-    mutable bool materialized = false;
-    mutable uint64_t last_access = 0;  // eviction recency (cap mode)
+    std::string label;
     uint32_t num_flops = 0;
     std::vector<uint32_t> mem_depths;
     std::vector<ChunkPtr> chunks;  // flop chunks, then each memory's chunks
@@ -195,26 +186,19 @@ class SnapshotStore {
   };
 
   ChunkPtr Intern(std::vector<uint64_t> words);
-  Stored MakeStored(SnapshotId id, const sim::HardwareState& state,
-                    std::string label);
+  Stored MakeStored(const sim::HardwareState& state, std::string label);
+  // The flat state a stored chunk vector describes.
+  static sim::HardwareState Assemble(const Stored& s);
   // Applies `delta` to a copy of `base`'s chunk vector; validates
   // geometry and base_hash. On success fills `out`.
   Status ApplyDelta(const Stored& base, const sim::StateDelta& delta,
-                    SnapshotId id, std::string label, Stored* out);
-  void Materialize(const Stored& s) const;
+                    std::string label, Stored* out);
+  // Binds `id` (new, or rebound) to `s`; when the resident chunks then
+  // exceed the byte cap, restores the previous binding and fails.
+  Status InstallLocked(SnapshotId id, Stored s, const char* op);
   // DeltaBetween's body without the lock (Serialize runs under it).
   sim::StateDelta DiffLocked(const Stored& b, const Stored& n) const;
   size_t ResidentBytesLocked() const;
-  size_t LiveBytesLocked() const {
-    return ResidentBytesLocked() + cache_bytes_;
-  }
-  void DropCacheLocked(const Stored& s) const;
-  // Evicts LRU materialization caches until LiveBytes <= max_bytes_ or
-  // nothing evictable remains; `keep` (may be null) is never evicted.
-  void EvictCachesLocked(const Stored* keep) const;
-  // Cap check for an ingest that grew the store: evict caches, then fail
-  // if the resident set alone still exceeds the cap.
-  Status EnforceCapLocked(const Stored* keep, const char* op) const;
 
   // Serializes all public operations (private helpers run under it).
   mutable std::mutex mu_;
@@ -227,10 +211,7 @@ class SnapshotStore {
                      std::vector<std::weak_ptr<const std::vector<uint64_t>>>>
       intern_;
   size_t total_bytes_ = 0;
-  size_t max_bytes_ = 0;             // 0 = unlimited
-  mutable size_t cache_bytes_ = 0;   // sum of materialized snap.state bytes
-  mutable uint64_t access_tick_ = 0;
-  mutable uint64_t cache_evictions_ = 0;
+  size_t max_bytes_ = 0;  // 0 = unlimited
   Stats stats_;
 };
 

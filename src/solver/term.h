@@ -87,8 +87,6 @@ class BvContext {
   TermId Sext(TermId a, unsigned width);
 
   // Logical helpers over 1-bit terms.
-  TermId BoolAnd(TermId a, TermId b) { return And(a, b); }
-  TermId BoolOr(TermId a, TermId b) { return Or(a, b); }
   TermId BoolNot(TermId a) { return Xor(a, True()); }
 
   const Term& term(TermId id) const { return terms_[id]; }

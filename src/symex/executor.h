@@ -103,9 +103,8 @@ struct ExecOptions {
   // transfers whenever no usable base exists.
   bool use_delta_snapshots = true;
 
-  // Byte cap on the host-side snapshot store (0 = unlimited). When the
-  // live snapshot set would exceed it even after evicting cold
-  // materialization caches, snapshot ingestion fails with
+  // Byte cap on the host-side snapshot store's resident chunks (0 =
+  // unlimited). An ingestion that would exceed it fails with
   // kResourceExhausted instead of growing without bound (CLI:
   // --max-store-bytes).
   uint64_t max_store_bytes = 0;

@@ -78,7 +78,6 @@ class Cpu {
   Status WriteRam(uint32_t addr, const std::vector<uint8_t>& bytes);
   Result<uint8_t> ReadRam(uint32_t addr) const;
   const std::string& console() const { return console_; }
-  void ClearConsole() { console_.clear(); }
 
   // Basic-block-entry coverage observed since construction (for the
   // coverage-guided fuzzer): PCs that were targets of taken control flow.

@@ -113,6 +113,35 @@ TEST(ElaborateTest, LatchInferenceRejected) {
   EXPECT_NE(r.status().message().find("latch"), std::string::npos);
 }
 
+TEST(ElaborateTest, CaseLatchInferenceRejected) {
+  // No default and no item assigns y when sel == 2'd3.
+  auto r = CompileVerilog(R"(
+    module m(input clk, input [1:0] sel, input [7:0] a, output reg [7:0] y);
+      always @(*) begin
+        case (sel)
+          2'd0: y = a;
+          2'd1, 2'd2: y = 8'd0;
+        endcase
+      end
+    endmodule
+  )");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("latch"), std::string::npos);
+
+  // The same case with a default is fully assigned.
+  auto ok = CompileVerilog(R"(
+    module m(input clk, input [1:0] sel, input [7:0] a, output reg [7:0] y);
+      always @(*) begin
+        case (sel)
+          2'd0: y = a;
+          default: y = 8'd0;
+        endcase
+      end
+    endmodule
+  )");
+  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+}
+
 TEST(ElaborateTest, BlockingInSequentialRejected) {
   auto r = CompileVerilog(R"(
     module m(input clk);

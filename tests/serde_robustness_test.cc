@@ -173,7 +173,7 @@ TEST(SerdeRobustnessTest, DeltaRejectsUnknownFormatVersion) {
 
 TEST(SerdeRobustnessTest, StoreRejectsUnknownFormatVersion) {
   SnapshotStore store(42);
-  store.Put(SampleState(), "a");
+  ASSERT_TRUE(store.Put(SampleState(), "a").ok());
   auto blob = store.Serialize();
   ASSERT_TRUE(blob.ok());
   auto bytes = blob.value();

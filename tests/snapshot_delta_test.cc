@@ -337,24 +337,23 @@ TEST(ChunkedStoreTest, SiblingSnapshotsShareChunks) {
   snapshot::SnapshotStore store(1);
   Rng rng(5);
   HardwareState a = RandomState(&rng, 100, {64});
-  auto id_a = store.Put(a, "a");
+  ASSERT_TRUE(store.Put(a, "a").ok());
   HardwareState b = a;
   b.flops[3] ^= 1;  // one chunk differs
-  store.Put(b, "b");
+  ASSERT_TRUE(store.Put(b, "b").ok());
   // b shares all but one flop chunk and all memory chunks with a.
   const auto& st = store.stats();
   EXPECT_GT(st.chunks_shared, 0u);
   EXPECT_GT(st.bytes_shared, st.bytes_copied / 2);
   EXPECT_LT(store.ResidentBytes(), store.TotalBytes());
   EXPECT_EQ(store.TotalBytes(), 2 * (100 + 64) * 8u);
-  (void)id_a;
 }
 
 TEST(ChunkedStoreTest, PutDeltaAndDeltaBetweenRoundTrip) {
   snapshot::SnapshotStore store(1);
   Rng rng(6);
   HardwareState a = RandomState(&rng, 40, {16});
-  auto id_a = store.Put(a, "a");
+  auto id_a = store.Put(a, "a").value();
 
   HardwareState b = a;
   b.flops[0] = 111;
@@ -363,7 +362,7 @@ TEST(ChunkedStoreTest, PutDeltaAndDeltaBetweenRoundTrip) {
   ASSERT_TRUE(d.ok());
   auto id_b = store.PutDelta(id_a, d.value(), "b");
   ASSERT_TRUE(id_b.ok());
-  EXPECT_EQ(store.Get(id_b.value()).value()->state, b);
+  EXPECT_EQ(store.Get(id_b.value()).value().state, b);
 
   auto back = store.DeltaBetween(id_b.value(), id_a);
   ASSERT_TRUE(back.ok());
@@ -376,10 +375,26 @@ TEST(ChunkedStoreTest, PutDeltaRejectsWrongBaseHash) {
   snapshot::SnapshotStore store(1);
   Rng rng(7);
   HardwareState a = RandomState(&rng, 16, {});
-  auto id_a = store.Put(a, "a");
+  auto id_a = store.Put(a, "a").value();
   StateDelta d = sim::EmptyDeltaFor(a);
   d.base_hash = 0x1234;  // not a's content hash
   EXPECT_FALSE(store.PutDelta(id_a, d).ok());
+}
+
+TEST(ChunkedStoreTest, DeltaBetweenSelfIsTheEmptyRevertDelta) {
+  // The tracker's revert rung restores its live base with this delta.
+  snapshot::SnapshotStore store(1);
+  Rng rng(8);
+  HardwareState a = RandomState(&rng, 40, {16, 3});
+  auto id_a = store.Put(a, "a").value();
+  auto d = store.DeltaBetween(id_a, id_a);
+  ASSERT_TRUE(d.ok());
+  EXPECT_TRUE(d.value().chunks.empty());
+  EXPECT_EQ(d.value().base_hash, store.ContentHash(id_a).value());
+  EXPECT_EQ(d.value().base_hash, sim::HashState(a));
+  StateDelta expected = sim::EmptyDeltaFor(a);
+  expected.base_hash = sim::HashState(a);
+  EXPECT_EQ(d.value(), expected);
 }
 
 TEST(ChunkedStoreTest, RandomForkTreeMatchesReferenceStore) {
@@ -392,7 +407,7 @@ TEST(ChunkedStoreTest, RandomForkTreeMatchesReferenceStore) {
 
   std::map<snapshot::SnapshotId, HardwareState> reference;
   HardwareState root = RandomState(&rng, kFlops, kMems);
-  auto root_id = store.Put(root, "root");
+  auto root_id = store.Put(root, "root").value();
   reference[root_id] = root;
   std::vector<snapshot::SnapshotId> ids = {root_id};
 
@@ -425,7 +440,7 @@ TEST(ChunkedStoreTest, RandomForkTreeMatchesReferenceStore) {
         break;
       }
       default: {  // full put (mixes full and delta ingestion)
-        auto id = store.Put(next);
+        auto id = store.Put(next).value();
         reference[id] = next;
         ids.push_back(id);
         break;
@@ -445,7 +460,7 @@ TEST(ChunkedStoreTest, RandomForkTreeMatchesReferenceStore) {
   for (auto id : ids) {
     auto snap = store.Get(id);
     ASSERT_TRUE(snap.ok());
-    EXPECT_EQ(snap.value()->state, reference[id]) << "id " << id;
+    EXPECT_EQ(snap.value().state, reference[id]) << "id " << id;
   }
   for (unsigned probe = 0; probe < 20; ++probe) {
     const auto from = ids[rng.Below(ids.size())];

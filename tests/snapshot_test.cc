@@ -50,17 +50,20 @@ TEST(SerializeTest, RejectsTrailingBytes) {
 
 TEST(StoreTest, PutGetUpdateDrop) {
   SnapshotStore store(42);
-  SnapshotId id = store.Put(SampleState(), "initial");
+  SnapshotId id = store.Put(SampleState(), "initial").value();
   EXPECT_NE(id, kNoSnapshot);
   auto snap = store.Get(id);
   ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap.value()->label, "initial");
-  EXPECT_EQ(snap.value()->state, SampleState());
+  EXPECT_EQ(snap.value().id, id);
+  EXPECT_EQ(snap.value().shape_digest, 42u);
+  EXPECT_EQ(snap.value().label, "initial");
+  EXPECT_EQ(snap.value().state, SampleState());
 
   auto st2 = SampleState();
   st2.flops[0] = 99;
   ASSERT_TRUE(store.Update(id, st2).ok());
-  EXPECT_EQ(store.Get(id).value()->state.flops[0], 99u);
+  EXPECT_EQ(store.Get(id).value().state.flops[0], 99u);
+  EXPECT_EQ(store.Get(id).value().label, "initial");  // Update keeps it
 
   ASSERT_TRUE(store.Drop(id).ok());
   EXPECT_FALSE(store.Get(id).ok());
@@ -69,8 +72,8 @@ TEST(StoreTest, PutGetUpdateDrop) {
 
 TEST(StoreTest, IdsAreUniqueAndNonZero) {
   SnapshotStore store(1);
-  SnapshotId a = store.Put(SampleState());
-  SnapshotId b = store.Put(SampleState());
+  SnapshotId a = store.Put(SampleState()).value();
+  SnapshotId b = store.Put(SampleState()).value();
   EXPECT_NE(a, b);
   EXPECT_NE(a, kNoSnapshot);
   EXPECT_EQ(store.size(), 2u);
@@ -204,86 +207,78 @@ TEST(OrchestratorTest, BadIndexRejected) {
 
 // --- memory accounting & byte cap ------------------------------------------
 
-TEST(StoreAccountingTest, LiveBytesTracksResidentChunksAndCaches) {
-  SnapshotStore store(42);
-  EXPECT_EQ(store.LiveBytes(), 0u);
-  SnapshotId a = store.Put(SampleState(), "a");
-  const auto s1 = store.stats();
-  EXPECT_GT(s1.live_bytes, 0u);
-  EXPECT_GT(s1.cache_bytes, 0u);  // Put caches the ingested state
-  EXPECT_EQ(s1.live_bytes, store.LiveBytes());
-  ASSERT_TRUE(store.Drop(a).ok());
-  EXPECT_EQ(store.LiveBytes(), 0u);
-}
-
-TEST(StoreAccountingTest, SetMaxBytesEvictsCachesImmediately) {
-  SnapshotStore store(42);
-  store.Put(SampleState(), "a");
-  ASSERT_GT(store.stats().cache_bytes, 0u);
-  // Resident chunks alone fit in any cap the caches overflow.
-  const uint64_t resident =
-      store.stats().live_bytes - store.stats().cache_bytes;
-  store.SetMaxBytes(resident);
-  const auto s = store.stats();
-  EXPECT_EQ(s.cache_bytes, 0u);
-  EXPECT_GE(s.cache_evictions, 1u);
-  EXPECT_LE(s.live_bytes, resident);
-}
-
 TEST(StoreCapTest, TryPutFailsCleanlyWhenNothingCanBeEvicted) {
   SnapshotStore store(42);
   store.SetMaxBytes(1);  // smaller than any snapshot's resident bytes
-  auto r = store.TryPut(SampleState(), "too big");
+  auto r = store.Put(SampleState(), "too big");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   // The failed ingestion left nothing behind.
   EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.LiveBytes(), 0u);
+  EXPECT_EQ(store.ResidentBytes(), 0u);
+  EXPECT_EQ(store.TotalBytes(), 0u);
 }
 
-TEST(StoreCapTest, TryPutSucceedsByEvictingColdCaches) {
+TEST(StoreCapTest, CapCountsSharedChunksOnce) {
   SnapshotStore store(42);
-  SnapshotId a = store.Put(SampleState(), "a");
+  const SnapshotId a = store.Put(SampleState(), "a").value();
+  const size_t one = store.ResidentBytes();
+  // A cap of exactly the resident bytes admits a second copy of the same
+  // content (every chunk is shared) but not a state with a new chunk.
+  store.SetMaxBytes(one);
+  auto same = store.Put(SampleState(), "same");
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ(store.ResidentBytes(), one);
   auto st2 = SampleState();
   st2.flops[0] = 0x12345678;
-  // Cap = current live + the new snapshot's resident need, but NOT its
-  // cache: ingestion must evict caches (the cold ones first) to fit.
-  SnapshotId b = store.Put(st2, "b");
-  const uint64_t resident_two =
-      store.stats().live_bytes - store.stats().cache_bytes;
-  ASSERT_TRUE(store.Drop(b).ok());
-  store.SetMaxBytes(resident_two);
-  auto r = store.TryPut(st2, "b2");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GE(store.stats().cache_evictions, 1u);
-  // Both snapshots still materialize correctly after eviction.
+  auto r = store.Put(st2, "new chunk");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  // A rejected Update keeps the old content and label.
+  Status up = store.Update(a, st2);
+  EXPECT_EQ(up.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(store.Get(a).value().state, SampleState());
+  EXPECT_EQ(store.Get(a).value().label, "a");
+  EXPECT_EQ(store.ResidentBytes(), one);
+  EXPECT_EQ(store.size(), 2u);
+}
+
+TEST(StoreCapTest, GetReturnsACopyThatLaterIngestsCannotChange) {
+  SnapshotStore store(42);
+  const SnapshotId a = store.Put(SampleState(), "a").value();
+  auto st2 = SampleState();
+  st2.flops[0] = 0x12345678;
+  const SnapshotId b = store.Put(st2, "b").value();
+  store.SetMaxBytes(store.ResidentBytes());
   auto ga = store.Get(a);
   ASSERT_TRUE(ga.ok());
-  EXPECT_EQ(ga.value()->state, SampleState());
-  auto gb = store.Get(r.value());
-  ASSERT_TRUE(gb.ok());
-  EXPECT_EQ(gb.value()->state, st2);
+  ASSERT_TRUE(store.Drop(b).ok());
+  ASSERT_TRUE(store.Put(st2, "b again").ok());  // fits again after the drop
+  ASSERT_TRUE(store.Drop(a).ok());
+  ASSERT_TRUE(store.Put(SampleState(), "a again").ok());
+  EXPECT_EQ(ga.value().state, SampleState());
+  EXPECT_EQ(ga.value().label, "a");
 }
 
 TEST(StoreCapTest, UnlimitedByDefault) {
   SnapshotStore store(42);
+  EXPECT_EQ(store.max_bytes(), 0u);
   for (int i = 0; i < 16; ++i) {
     auto st = SampleState();
     st.flops[0] = static_cast<uint64_t>(i);
-    EXPECT_NE(store.Put(st), kNoSnapshot);
+    EXPECT_TRUE(store.Put(st).ok());
   }
   EXPECT_EQ(store.size(), 16u);
-  EXPECT_EQ(store.stats().cache_evictions, 0u);
 }
 
 // --- whole-store serialization (HSST) --------------------------------------
 
 TEST(StoreSerdeTest, SerializeRestoreRoundTripsContentAndIds) {
   SnapshotStore store(42);
-  SnapshotId a = store.Put(SampleState(), "base");
+  SnapshotId a = store.Put(SampleState(), "base").value();
   auto st2 = SampleState();
   st2.flops[1] = 0xfeedface;
-  SnapshotId b = store.Put(st2, "variant");
+  SnapshotId b = store.Put(st2, "variant").value();
   auto blob = store.Serialize();
   ASSERT_TRUE(blob.ok()) << blob.status().ToString();
 
@@ -292,19 +287,19 @@ TEST(StoreSerdeTest, SerializeRestoreRoundTripsContentAndIds) {
   EXPECT_EQ(back.size(), 2u);
   auto ga = back.Get(a);
   ASSERT_TRUE(ga.ok());
-  EXPECT_EQ(ga.value()->state, SampleState());
-  EXPECT_EQ(ga.value()->label, "base");
+  EXPECT_EQ(ga.value().state, SampleState());
+  EXPECT_EQ(ga.value().label, "base");
   auto gb = back.Get(b);
   ASSERT_TRUE(gb.ok());
-  EXPECT_EQ(gb.value()->state, st2);
-  EXPECT_EQ(gb.value()->label, "variant");
+  EXPECT_EQ(gb.value().state, st2);
+  EXPECT_EQ(gb.value().label, "variant");
   // Content hashes survive the round trip (resume drift checks rely on
   // them).
   EXPECT_EQ(back.ContentHash(a).value(), store.ContentHash(a).value());
   // New ids keep ascending past the restored ones.
   auto st3 = SampleState();
   st3.flops[2] = 7;
-  SnapshotId c = back.Put(st3);
+  SnapshotId c = back.Put(st3).value();
   EXPECT_GT(c, b);
 }
 
@@ -315,12 +310,12 @@ TEST(StoreSerdeTest, EmptyStoreRoundTrips) {
   SnapshotStore back(42);
   ASSERT_TRUE(back.Restore(blob.value()).ok());
   EXPECT_EQ(back.size(), 0u);
-  EXPECT_NE(back.Put(SampleState()), kNoSnapshot);
+  EXPECT_TRUE(back.Put(SampleState()).ok());
 }
 
 TEST(StoreSerdeTest, RestoreRejectsWrongShapeDigest) {
   SnapshotStore store(42);
-  store.Put(SampleState());
+  ASSERT_TRUE(store.Put(SampleState()).ok());
   auto blob = store.Serialize();
   ASSERT_TRUE(blob.ok());
   SnapshotStore other(43);
@@ -330,10 +325,10 @@ TEST(StoreSerdeTest, RestoreRejectsWrongShapeDigest) {
 
 TEST(StoreSerdeTest, RestoreRejectsTruncationAndBitFlips) {
   SnapshotStore store(42);
-  store.Put(SampleState(), "a");
+  ASSERT_TRUE(store.Put(SampleState(), "a").ok());
   auto st2 = SampleState();
   st2.flops[0] = 5;
-  store.Put(st2, "b");
+  ASSERT_TRUE(store.Put(st2, "b").ok());
   auto blob = store.Serialize();
   ASSERT_TRUE(blob.ok());
   const auto& bytes = blob.value();
@@ -353,17 +348,17 @@ TEST(StoreSerdeTest, RestoreRejectsTruncationAndBitFlips) {
 
 TEST(StoreSerdeTest, RestoreReplacesPriorContents) {
   SnapshotStore store(42);
-  store.Put(SampleState(), "kept");
+  ASSERT_TRUE(store.Put(SampleState(), "kept").ok());
   auto blob = store.Serialize();
   ASSERT_TRUE(blob.ok());
   SnapshotStore back(42);
-  back.Put(SampleState(), "overwritten");
-  back.Put(SampleState(), "also gone");
+  ASSERT_TRUE(back.Put(SampleState(), "overwritten").ok());
+  ASSERT_TRUE(back.Put(SampleState(), "also gone").ok());
   ASSERT_TRUE(back.Restore(blob.value()).ok());
   EXPECT_EQ(back.size(), 1u);
   auto ids = back.Ids();
   ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(back.Get(ids[0]).value()->label, "kept");
+  EXPECT_EQ(back.Get(ids[0]).value().label, "kept");
 }
 
 }  // namespace
