@@ -7,9 +7,9 @@
 //
 // Table: modeled campaign time for N executions under each strategy, the
 // per-exec reset cost, and the resulting throughput ratio. Expected
-// shape: reboot cost (~250 ms/exec) exceeds snapshot restore (CRIU
-// ~123 ms on the simulator target; microseconds with the FPGA scan
-// mechanism) — and the gap IS the fuzzing speedup, since everything else
+// shape: reboot cost (~250 ms/exec) exceeds snapshot restore (an
+// incremental CRIU revert, 8 ms, on the simulator target; microseconds
+// with the FPGA scan mechanism) — and the gap IS the fuzzing speedup, since everything else
 // is identical.
 #include <benchmark/benchmark.h>
 

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "common/fnv.h"
 #include "common/status.h"
 
 namespace hardsnap {
@@ -89,12 +90,9 @@ class Rng {
   // futures; campaign checkpoints store this so an exact resume can prove
   // the replayed worker reached the same stream position.
   uint64_t StateDigest() const {
-    uint64_t h = 1469598103934665603ull;
-    for (uint64_t lane : s_) {
-      h ^= lane;
-      h *= 1099511628211ull;
-    }
-    return h;
+    Fnv1a h;
+    for (uint64_t lane : s_) h.Mix(lane);
+    return h.digest();
   }
 
  private:

@@ -94,7 +94,7 @@ class ByteReader {
   }
   Status GetBytes(void* out, size_t n) {
     if (pos_ + n > buf_.size()) return Truncated("bytes").status();
-    std::memcpy(out, buf_.data() + pos_, n);
+    if (n != 0) std::memcpy(out, buf_.data() + pos_, n);  // out may be null
     pos_ += n;
     return Status::Ok();
   }

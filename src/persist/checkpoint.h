@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "campaign/shared_corpus.h"
+#include "common/fnv.h"
 #include "common/serde.h"
 #include "common/status.h"
 #include "symex/executor.h"
@@ -100,16 +101,6 @@ Result<symex::Report> GetSymexReport(ByteReader* r);
 // FNV-1a accumulator for campaign option fingerprints: a resume against a
 // directory written under different options must fail loudly instead of
 // silently mixing two incompatible campaigns.
-class Fingerprint {
- public:
-  void Mix(uint64_t v) {
-    h_ ^= v;
-    h_ *= 1099511628211ull;
-  }
-  uint64_t digest() const { return h_; }
-
- private:
-  uint64_t h_ = 1469598103934665603ull;
-};
+using Fingerprint = Fnv1a;
 
 }  // namespace hardsnap::persist

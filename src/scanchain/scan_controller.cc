@@ -226,7 +226,7 @@ bool ScanController::PinsIdle() const {
 
 Result<HardwareState> ScanController::Pass(const HardwareState* incoming,
                                            bool bit_serial) {
-  if (incoming != nullptr && !sim_->ShapeMatches(*incoming))
+  if (incoming != nullptr && !sim_->shape().Matches(*incoming))
     return InvalidArgument("state shape does not match the design");
   const Design& d = sim_->design();
   const unsigned n = map_->total_bits;

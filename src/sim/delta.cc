@@ -2,20 +2,11 @@
 
 #include <algorithm>
 
+#include "common/fnv.h"
 #include "sim/simulator.h"
 
 namespace hardsnap::sim {
 
-namespace {
-
-// Word count of one chunk space; chunk `index` of a space holding `words`
-// words spans [index * kChunkWords, index * kChunkWords + ChunkLen).
-size_t ChunkLen(size_t words, uint32_t index) {
-  const size_t start = size_t{index} * kChunkWords;
-  return std::min<size_t>(kChunkWords, words - start);
-}
-
-// The words of one chunk space (flops or one memory).
 const std::vector<uint64_t>& Space(const HardwareState& st, uint32_t space) {
   return space == 0 ? st.flops : st.memories[space - 1];
 }
@@ -24,7 +15,42 @@ std::vector<uint64_t>& Space(HardwareState& st, uint32_t space) {
   return space == 0 ? st.flops : st.memories[space - 1];
 }
 
-}  // namespace
+StateShape StateShape::Of(const HardwareState& st) {
+  StateShape shape{static_cast<uint32_t>(st.flops.size()), {}};
+  shape.mem_depths.reserve(st.memories.size());
+  for (const auto& mem : st.memories)
+    shape.mem_depths.push_back(static_cast<uint32_t>(mem.size()));
+  return shape;
+}
+
+bool StateShape::Matches(const HardwareState& st) const {
+  if (st.flops.size() != num_flops || st.memories.size() != mem_depths.size())
+    return false;
+  for (size_t m = 0; m < mem_depths.size(); ++m)
+    if (st.memories[m].size() != mem_depths[m]) return false;
+  return true;
+}
+
+size_t StateShape::ChunkLen(uint32_t space, uint32_t index) const {
+  return std::min<size_t>(kChunkWords,
+                          SpaceWords(space) - size_t{index} * kChunkWords);
+}
+
+size_t StateShape::FirstChunk(uint32_t space) const {
+  size_t first = 0;
+  for (uint32_t s = 0; s < space; ++s) first += NumChunks(SpaceWords(s));
+  return first;
+}
+
+Status StateShape::Check(const DeltaChunk& c) const {
+  if (c.space >= num_spaces())
+    return InvalidArgument("delta chunk space out of range");
+  if (size_t{c.index} * kChunkWords >= SpaceWords(c.space))
+    return InvalidArgument("delta chunk index out of range");
+  if (c.words.size() != ChunkLen(c.space, c.index))
+    return InvalidArgument("delta chunk payload size mismatch");
+  return Status::Ok();
+}
 
 size_t StateDelta::PayloadWords() const {
   size_t words = 0;
@@ -32,29 +58,29 @@ size_t StateDelta::PayloadWords() const {
   return words;
 }
 
-bool StateDelta::ShapeMatches(const HardwareState& st) const {
-  if (chunk_words != kChunkWords) return false;
-  if (num_flops != st.flops.size()) return false;
-  if (mem_depths.size() != st.memories.size()) return false;
-  for (size_t m = 0; m < mem_depths.size(); ++m)
-    if (mem_depths[m] != st.memories[m].size()) return false;
-  return true;
+Status StateDelta::Check() const {
+  for (const auto& c : chunks) HS_RETURN_IF_ERROR(shape.Check(c));
+  return Status::Ok();
+}
+
+Status StateDelta::CheckBase(const HardwareState& base) const {
+  if (!shape.Matches(base))
+    return InvalidArgument("delta does not match the base state's shape");
+  if (base_hash != 0 && HashState(base) != base_hash)
+    return InvalidArgument("delta applied to a state that is not its base");
+  return Check();
 }
 
 uint64_t HashState(const HardwareState& state) {
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(state.flops.size());
-  for (uint64_t w : state.flops) mix(w);
-  mix(state.memories.size());
+  Fnv1a h;
+  h.Mix(state.flops.size());
+  for (uint64_t w : state.flops) h.Mix(w);
+  h.Mix(state.memories.size());
   for (const auto& mem : state.memories) {
-    mix(mem.size());
-    for (uint64_t w : mem) mix(w);
+    h.Mix(mem.size());
+    for (uint64_t w : mem) h.Mix(w);
   }
-  return h;
+  return h.digest();
 }
 
 size_t StateWords(const HardwareState& state) {
@@ -64,74 +90,49 @@ size_t StateWords(const HardwareState& state) {
 }
 
 StateDelta EmptyDeltaFor(const HardwareState& shape) {
-  StateDelta d;
-  d.num_flops = static_cast<uint32_t>(shape.flops.size());
-  d.mem_depths.reserve(shape.memories.size());
-  for (const auto& mem : shape.memories)
-    d.mem_depths.push_back(static_cast<uint32_t>(mem.size()));
-  return d;
+  return {0, StateShape::Of(shape), {}};
 }
 
-StateDelta FullDelta(const HardwareState& state) {
-  StateDelta d = EmptyDeltaFor(state);
-  const uint32_t spaces = static_cast<uint32_t>(1 + state.memories.size());
-  for (uint32_t s = 0; s < spaces; ++s) {
-    const auto& words = Space(state, s);
+namespace {
+
+// The chunks of `next` that differ from `*base`; every chunk when `base`
+// is null.
+StateDelta ChunksOf(const HardwareState& next, const HardwareState* base) {
+  StateDelta d = EmptyDeltaFor(next);
+  for (uint32_t s = 0; s < d.shape.num_spaces(); ++s) {
+    const auto& words = Space(next, s);
     for (uint32_t c = 0; c < NumChunks(words.size()); ++c) {
       const size_t start = size_t{c} * kChunkWords;
-      const size_t len = ChunkLen(words.size(), c);
-      d.chunks.push_back(
-          {s, c, {words.begin() + start, words.begin() + start + len}});
+      const auto first = words.begin() + start;
+      const auto last = first + d.shape.ChunkLen(s, c);
+      if (base == nullptr ||
+          !std::equal(first, last, Space(*base, s).begin() + start))
+        d.chunks.push_back({s, c, {first, last}});
     }
   }
   return d;
+}
+
+}  // namespace
+
+StateDelta FullDelta(const HardwareState& state) {
+  return ChunksOf(state, nullptr);
 }
 
 Result<StateDelta> DiffStates(const HardwareState& base,
                               const HardwareState& next) {
-  if (base.flops.size() != next.flops.size())
-    return InvalidArgument("delta diff: flop count mismatch");
-  if (base.memories.size() != next.memories.size())
-    return InvalidArgument("delta diff: memory count mismatch");
-  for (size_t m = 0; m < base.memories.size(); ++m)
-    if (base.memories[m].size() != next.memories[m].size())
-      return InvalidArgument("delta diff: memory depth mismatch");
-
-  StateDelta d = EmptyDeltaFor(next);
+  if (!StateShape::Of(next).Matches(base))
+    return InvalidArgument("delta diff: state shapes differ");
+  StateDelta d = ChunksOf(next, &base);
   d.base_hash = HashState(base);
-  const uint32_t spaces = static_cast<uint32_t>(1 + next.memories.size());
-  for (uint32_t s = 0; s < spaces; ++s) {
-    const auto& bw = Space(base, s);
-    const auto& nw = Space(next, s);
-    for (uint32_t c = 0; c < NumChunks(nw.size()); ++c) {
-      const size_t start = size_t{c} * kChunkWords;
-      const size_t len = ChunkLen(nw.size(), c);
-      if (!std::equal(nw.begin() + start, nw.begin() + start + len,
-                      bw.begin() + start)) {
-        d.chunks.push_back(
-            {s, c, {nw.begin() + start, nw.begin() + start + len}});
-      }
-    }
-  }
   return d;
 }
 
 Status ApplyDeltaToState(HardwareState* state, const StateDelta& delta) {
-  if (!delta.ShapeMatches(*state))
-    return InvalidArgument("delta does not match state shape");
-  if (delta.base_hash != 0 && HashState(*state) != delta.base_hash)
-    return InvalidArgument("delta applied to a state that is not its base");
-  for (const auto& c : delta.chunks) {
-    if (c.space > state->memories.size())
-      return InvalidArgument("delta chunk space out of range");
-    auto& words = Space(*state, c.space);
-    const size_t start = size_t{c.index} * kChunkWords;
-    if (start >= words.size())
-      return InvalidArgument("delta chunk index out of range");
-    if (c.words.size() != ChunkLen(words.size(), c.index))
-      return InvalidArgument("delta chunk payload size mismatch");
-    std::copy(c.words.begin(), c.words.end(), words.begin() + start);
-  }
+  HS_RETURN_IF_ERROR(delta.CheckBase(*state));
+  for (const auto& c : delta.chunks)
+    std::copy(c.words.begin(), c.words.end(),
+              Space(*state, c.space).begin() + size_t{c.index} * kChunkWords);
   return Status::Ok();
 }
 

@@ -1,11 +1,16 @@
 // Chunked copy-on-write snapshot deltas (the hot-path layer under the
 // snapshot store).
 //
-// A HardwareState is viewed as a set of fixed-size "chunks" of 64-bit
-// words: the flop vector is chunk space 0, memory m is chunk space 1+m.
-// A StateDelta carries only the chunks that differ from some base state —
-// the unit of dirty tracking in the Simulator, of structural sharing in
-// snapshot::SnapshotStore, and of wire transfer in SerializeStateDelta.
+// A HardwareState is viewed as a set of chunk spaces: the flop vector is
+// space 0, memory m is space 1+m, and each space is cut into chunks of
+// kChunkWords 64-bit words (the last chunk of a space may be short).
+// StateShape is that geometry, and the only place it is worked out: the
+// Simulator's dirty tracking, the structural sharing of
+// snapshot::SnapshotStore and the HSSD wire decoder all walk spaces and
+// chunks through it, and StateShape::Check is the one test that a chunk
+// fits. A StateDelta carries only the chunks that differ from some base
+// state; every consumer validates the whole delta before it writes
+// anything, so a rejected delta leaves its target untouched.
 //
 // kChunkWords trades tracking precision against per-chunk overhead. The
 // peripheral corpus here has O(100) flops and small FIFOs, so chunks are
@@ -38,18 +43,52 @@ struct DeltaChunk {
   bool operator==(const DeltaChunk&) const = default;
 };
 
-// The chunks by which a state differs from a base state, plus the shape
-// the delta applies to (so mismatched applications fail loudly).
-struct StateDelta {
-  uint64_t base_hash = 0;      // HashState() of the base; 0 = unchecked
-  uint32_t chunk_words = kChunkWords;
+// The words of chunk space `space` of a state (flops or one memory).
+const std::vector<uint64_t>& Space(const HardwareState& st, uint32_t space);
+std::vector<uint64_t>& Space(HardwareState& st, uint32_t space);
+
+// The chunk geometry of a state: its flop count and memory depths.
+struct StateShape {
   uint32_t num_flops = 0;
   std::vector<uint32_t> mem_depths;
+
+  static StateShape Of(const HardwareState& st);
+  // Whether `st` has exactly this flop count and these memory depths.
+  bool Matches(const HardwareState& st) const;
+
+  uint32_t num_spaces() const {
+    return static_cast<uint32_t>(1 + mem_depths.size());
+  }
+  size_t SpaceWords(uint32_t space) const {
+    return space == 0 ? num_flops : mem_depths[space - 1];
+  }
+  // Words in chunk `index` of `space`: kChunkWords, less for a short tail.
+  size_t ChunkLen(uint32_t space, uint32_t index) const;
+  // Position of chunk 0 of `space` when every space's chunks are laid out
+  // in order (flop chunks first, then each memory's).
+  size_t FirstChunk(uint32_t space) const;
+  // kInvalidArgument unless `c` names a space and chunk of this shape and
+  // carries exactly ChunkLen words.
+  Status Check(const DeltaChunk& c) const;
+
+  bool operator==(const StateShape&) const = default;
+};
+
+// The chunks by which a state differs from a base state, plus the shape
+// the delta applies to (so mismatched applications fail loudly). Chunks
+// are always kChunkWords wide.
+struct StateDelta {
+  uint64_t base_hash = 0;      // HashState() of the base; 0 = unchecked
+  StateShape shape;
   std::vector<DeltaChunk> chunks;
 
   size_t PayloadWords() const;
   size_t PayloadBytes() const { return PayloadWords() * 8; }
-  bool ShapeMatches(const HardwareState& st) const;
+  // Every chunk passes shape.Check.
+  Status Check() const;
+  // Check(), plus `base` has the delta's shape and, when base_hash is set,
+  // that content hash.
+  Status CheckBase(const HardwareState& base) const;
 
   bool operator==(const StateDelta&) const = default;
 };
@@ -72,8 +111,8 @@ StateDelta FullDelta(const HardwareState& state);
 Result<StateDelta> DiffStates(const HardwareState& base,
                               const HardwareState& next);
 
-// Overwrite the delta's chunks in `state`. Rejects shape mismatches and,
-// when delta.base_hash is set, a `state` that is not the delta's base.
+// Overwrite the delta's chunks in `state` after delta.CheckBase(*state);
+// a rejected delta leaves `state` unchanged.
 Status ApplyDeltaToState(HardwareState* state, const StateDelta& delta);
 
 // Per-chunk dirty bitmap (one bit per chunk of one space).
@@ -92,25 +131,11 @@ class ChunkBitmap {
   void MarkAll() {
     bits_.assign(bits_.size(), ~uint64_t{0});  // stray high bits are ignored
   }
-  bool Any() const {
-    for (uint64_t w : bits_)
-      if (w != 0) return true;
-    return false;
-  }
   size_t num_chunks() const { return num_chunks_; }
 
  private:
   std::vector<uint64_t> bits_;
   size_t num_chunks_ = 0;
-};
-
-// Cumulative accounting of delta capture/restore work (per Simulator).
-struct DeltaStats {
-  uint64_t captures = 0;
-  uint64_t restores = 0;
-  uint64_t words_captured = 0;  // delta payload words emitted
-  uint64_t words_restored = 0;  // words actually written into live state
-  uint64_t full_words = 0;      // words a full copy would have moved
 };
 
 }  // namespace hardsnap::sim

@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <set>
 
 #include "common/bitops.h"
@@ -26,14 +25,14 @@ Simulator::Simulator(const Design& design) : design_(design) {
     flop_of_signal_[design.flops()[i].q] = static_cast<int32_t>(i);
   shadow_.flops.assign(design.flops().size(), 0);
   shadow_.memories = memories_;
-  flop_dirty_.Resize(design.flops().size());
-  mem_dirty_.resize(memories_.size());
-  for (size_t m = 0; m < memories_.size(); ++m)
-    mem_dirty_[m].Resize(memories_[m].size());
+  shape_ = StateShape::Of(shadow_);
   // The shadow (all zeros) matches the initial live state, but mark
   // everything dirty so the first capture is a full, base-free baseline.
-  flop_dirty_.MarkAll();
-  for (auto& bm : mem_dirty_) bm.MarkAll();
+  dirty_chunks_.resize(shape_.num_spaces());
+  for (uint32_t s = 0; s < shape_.num_spaces(); ++s) {
+    dirty_chunks_[s].Resize(shape_.SpaceWords(s));
+    dirty_chunks_[s].MarkAll();
+  }
 }
 
 Result<Simulator> Simulator::Create(const Design& design) {
@@ -240,20 +239,20 @@ void Simulator::CommitEdge() {
         TruncBits(flop_next_[i], design_.signal(flops[i].q).width);
     if (values_[flops[i].q] != next) {
       values_[flops[i].q] = next;
-      flop_dirty_.MarkWord(i);
+      dirty_chunks_[0].MarkWord(i);
     }
   }
   for (const auto& pw : pending) {
     auto& mem = memories_[pw.mem];
     if (pw.addr < mem.size() && mem[pw.addr] != pw.data) {  // OOB dropped
       mem[pw.addr] = pw.data;
-      mem_dirty_[pw.mem].MarkWord(pw.addr);
+      dirty_chunks_[1 + pw.mem].MarkWord(pw.addr);
     }
   }
 }
 
 void Simulator::CommitState(const HardwareState& next, uint64_t cycles) {
-  HS_CHECK(ShapeMatches(next));
+  HS_CHECK(shape_.Matches(next));
   WriteState(next, /*mark_dirty=*/true);
   cycle_count_ += cycles;
 }
@@ -320,7 +319,7 @@ Status Simulator::PokeRegister(const std::string& name, uint64_t value) {
   const uint64_t v = TruncBits(value, s.width);
   if (values_[id] != v) {
     values_[id] = v;
-    flop_dirty_.MarkWord(static_cast<size_t>(flop_index));
+    dirty_chunks_[0].MarkWord(static_cast<size_t>(flop_index));
   }
   dirty_ = true;
   return Status::Ok();
@@ -335,7 +334,7 @@ Status Simulator::PokeMemory(const std::string& name, unsigned index,
   const uint64_t v = TruncBits(value, design_.memory(id).width);
   if (memories_[id][index] != v) {
     memories_[id][index] = v;
-    mem_dirty_[id].MarkWord(index);
+    dirty_chunks_[1 + id].MarkWord(index);
   }
   dirty_ = true;
   return Status::Ok();
@@ -350,202 +349,105 @@ HardwareState Simulator::DumpState() const {
   return st;
 }
 
-bool Simulator::ShapeMatches(const HardwareState& st) const {
-  if (st.flops.size() != design_.flops().size() ||
-      st.memories.size() != memories_.size())
-    return false;
-  for (size_t m = 0; m < memories_.size(); ++m)
-    if (st.memories[m].size() != memories_[m].size()) return false;
-  return true;
+uint64_t& Simulator::Live(uint32_t space, size_t word) {
+  return space == 0 ? values_[design_.flops()[word].q]
+                    : memories_[space - 1][word];
 }
 
-uint64_t Simulator::WriteState(const HardwareState& st, bool mark_dirty) {
-  const auto& flops = design_.flops();
-  uint64_t written = 0;
-  for (size_t i = 0; i < flops.size(); ++i) {
-    const uint64_t v = TruncBits(st.flops[i], design_.signal(flops[i].q).width);
-    if (values_[flops[i].q] == v) continue;
-    values_[flops[i].q] = v;
-    ++written;
-    if (mark_dirty) flop_dirty_.MarkWord(i);
-  }
-  for (size_t m = 0; m < memories_.size(); ++m) {
-    auto& mem = memories_[m];
-    const unsigned width = design_.memories()[m].width;
-    for (size_t w = 0; w < mem.size(); ++w) {
-      const uint64_t v = TruncBits(st.memories[m][w], width);
-      if (mem[w] == v) continue;
-      mem[w] = v;
-      ++written;
-      if (mark_dirty) mem_dirty_[m].MarkWord(w);
+unsigned Simulator::LiveWidth(uint32_t space, size_t word) const {
+  return space == 0 ? design_.signal(design_.flops()[word].q).width
+                    : design_.memories()[space - 1].width;
+}
+
+void Simulator::WriteState(const HardwareState& st, bool mark_dirty) {
+  for (uint32_t s = 0; s < shape_.num_spaces(); ++s) {
+    const auto& words = Space(st, s);
+    for (size_t w = 0; w < words.size(); ++w) {
+      const uint64_t v = TruncBits(words[w], LiveWidth(s, w));
+      uint64_t& live = Live(s, w);
+      if (live == v) continue;
+      live = v;
+      if (mark_dirty) dirty_chunks_[s].MarkWord(w);
     }
   }
   dirty_ = true;
-  return written;
+}
+
+void Simulator::Resync() {
+  for (uint32_t s = 0; s < shape_.num_spaces(); ++s) {
+    auto& shadow = Space(shadow_, s);
+    for (size_t w = 0; w < shadow.size(); ++w) shadow[w] = Live(s, w);
+    dirty_chunks_[s].ClearAll();
+  }
 }
 
 Status Simulator::RestoreState(const HardwareState& st) {
-  if (!ShapeMatches(st))
+  if (!shape_.Matches(st))
     return InvalidArgument("snapshot shape does not match the design");
-  const uint64_t written = WriteState(st, /*mark_dirty=*/false);
-  const auto& flops = design_.flops();
-  for (size_t i = 0; i < flops.size(); ++i)
-    shadow_.flops[i] = values_[flops[i].q];
-  shadow_.memories = memories_;
-  flop_dirty_.ClearAll();
-  for (auto& bm : mem_dirty_) bm.ClearAll();
-  ++delta_stats_.restores;
-  delta_stats_.words_restored += written;
-  delta_stats_.full_words += StateWords(st);
+  WriteState(st, /*mark_dirty=*/false);
+  Resync();
   return Status::Ok();
 }
 
 StateDelta Simulator::CaptureDelta() {
   Eval();
-  const auto& flops = design_.flops();
-  StateDelta d = EmptyDeltaFor(shadow_);
-  d.base_hash = HashState(shadow_);
-
-  // Flop space: walk dirty chunks, compare against the shadow, emit the
-  // chunks that really changed and fold them into the shadow.
-  const uint32_t nfc = flop_dirty_.num_chunks();
-  for (uint32_t c = 0; c < nfc; ++c) {
-    if (!flop_dirty_.Test(c)) continue;
-    const size_t start = size_t{c} * kChunkWords;
-    const size_t len = std::min<size_t>(kChunkWords, flops.size() - start);
-    bool changed = false;
-    for (size_t i = start; i < start + len; ++i)
-      if (values_[flops[i].q] != shadow_.flops[i]) { changed = true; break; }
-    if (!changed) continue;
-    DeltaChunk chunk{0, c, {}};
-    chunk.words.reserve(len);
-    for (size_t i = start; i < start + len; ++i) {
-      shadow_.flops[i] = values_[flops[i].q];
-      chunk.words.push_back(shadow_.flops[i]);
-    }
-    d.chunks.push_back(std::move(chunk));
-  }
-  flop_dirty_.ClearAll();
-
-  for (size_t m = 0; m < memories_.size(); ++m) {
-    const auto& mem = memories_[m];
-    auto& shadow_mem = shadow_.memories[m];
-    const uint32_t nc = mem_dirty_[m].num_chunks();
-    for (uint32_t c = 0; c < nc; ++c) {
-      if (!mem_dirty_[m].Test(c)) continue;
+  StateDelta d{HashState(shadow_), shape_, {}};
+  // Walk dirty chunks, compare against the shadow, emit the chunks that
+  // really changed and fold them into the shadow.
+  for (uint32_t s = 0; s < shape_.num_spaces(); ++s) {
+    auto& shadow = Space(shadow_, s);
+    ChunkBitmap& dirty = dirty_chunks_[s];
+    for (uint32_t c = 0; c < dirty.num_chunks(); ++c) {
+      if (!dirty.Test(c)) continue;
       const size_t start = size_t{c} * kChunkWords;
-      const size_t len = std::min<size_t>(kChunkWords, mem.size() - start);
-      if (std::equal(mem.begin() + start, mem.begin() + start + len,
-                     shadow_mem.begin() + start))
-        continue;
-      std::copy(mem.begin() + start, mem.begin() + start + len,
-                shadow_mem.begin() + start);
-      d.chunks.push_back({static_cast<uint32_t>(1 + m), c,
-                          {mem.begin() + start, mem.begin() + start + len}});
+      const size_t end = start + shape_.ChunkLen(s, c);
+      size_t w = start;
+      while (w < end && Live(s, w) == shadow[w]) ++w;
+      if (w == end) continue;
+      DeltaChunk chunk{s, c, {}};
+      chunk.words.reserve(end - start);
+      for (w = start; w < end; ++w)
+        chunk.words.push_back(shadow[w] = Live(s, w));
+      d.chunks.push_back(std::move(chunk));
     }
-    mem_dirty_[m].ClearAll();
+    dirty.ClearAll();
   }
-
-  ++delta_stats_.captures;
-  delta_stats_.words_captured += d.PayloadWords();
-  delta_stats_.full_words += StateWords(shadow_);
   return d;
 }
 
 Status Simulator::RestoreDelta(const StateDelta& delta) {
-  if (!delta.ShapeMatches(shadow_))
-    return InvalidArgument("delta does not match simulator state shape");
-  if (delta.base_hash != 0 && HashState(shadow_) != delta.base_hash)
-    return InvalidArgument("delta base is not the simulator's sync point");
-
-  const auto& flops = design_.flops();
-  uint64_t written = 0;
-
-  // Pass 1: revert any chunk dirtied since the sync point back to the
-  // shadow — the delta is expressed against the sync point, not against
-  // whatever the live state drifted to.
-  const uint32_t nfc = flop_dirty_.num_chunks();
-  for (uint32_t c = 0; c < nfc; ++c) {
-    if (!flop_dirty_.Test(c)) continue;
-    const size_t start = size_t{c} * kChunkWords;
-    const size_t len = std::min<size_t>(kChunkWords, flops.size() - start);
-    for (size_t i = start; i < start + len; ++i) {
-      if (values_[flops[i].q] != shadow_.flops[i]) {
-        values_[flops[i].q] = shadow_.flops[i];
-        ++written;
-      }
-    }
-  }
-  flop_dirty_.ClearAll();
-  for (size_t m = 0; m < memories_.size(); ++m) {
-    auto& mem = memories_[m];
-    const auto& shadow_mem = shadow_.memories[m];
-    const uint32_t nc = mem_dirty_[m].num_chunks();
-    for (uint32_t c = 0; c < nc; ++c) {
-      if (!mem_dirty_[m].Test(c)) continue;
+  HS_RETURN_IF_ERROR(delta.CheckBase(shadow_));
+  for (uint32_t s = 0; s < shape_.num_spaces(); ++s) {
+    // Revert any chunk dirtied since the sync point back to the shadow —
+    // the delta is expressed against the sync point, not against whatever
+    // the live state drifted to.
+    const auto& shadow = Space(shadow_, s);
+    ChunkBitmap& dirty = dirty_chunks_[s];
+    for (uint32_t c = 0; c < dirty.num_chunks(); ++c) {
+      if (!dirty.Test(c)) continue;
       const size_t start = size_t{c} * kChunkWords;
-      const size_t len = std::min<size_t>(kChunkWords, mem.size() - start);
-      for (size_t w = start; w < start + len; ++w) {
-        if (mem[w] != shadow_mem[w]) {
-          mem[w] = shadow_mem[w];
-          ++written;
-        }
-      }
+      for (size_t w = start; w < start + shape_.ChunkLen(s, c); ++w)
+        Live(s, w) = shadow[w];
     }
-    mem_dirty_[m].ClearAll();
+    dirty.ClearAll();
   }
-
-  // Pass 2: apply the delta's chunks to both live and shadow state.
+  // Apply the delta's chunks to both live and shadow state.
   for (const auto& c : delta.chunks) {
+    auto& shadow = Space(shadow_, c.space);
     const size_t start = size_t{c.index} * kChunkWords;
-    if (c.space == 0) {
-      if (start >= flops.size())
-        return InvalidArgument("delta chunk index out of range");
-      if (c.words.size() !=
-          std::min<size_t>(kChunkWords, flops.size() - start))
-        return InvalidArgument("delta chunk payload size mismatch");
-      for (size_t i = 0; i < c.words.size(); ++i) {
-        const uint64_t v = TruncBits(
-            c.words[i], design_.signal(flops[start + i].q).width);
-        if (values_[flops[start + i].q] != v) {
-          values_[flops[start + i].q] = v;
-          ++written;
-        }
-        shadow_.flops[start + i] = v;
-      }
-    } else {
-      if (c.space > memories_.size())
-        return InvalidArgument("delta chunk space out of range");
-      auto& mem = memories_[c.space - 1];
-      if (start >= mem.size())
-        return InvalidArgument("delta chunk index out of range");
-      if (c.words.size() != std::min<size_t>(kChunkWords, mem.size() - start))
-        return InvalidArgument("delta chunk payload size mismatch");
-      for (size_t i = 0; i < c.words.size(); ++i) {
-        if (mem[start + i] != c.words[i]) {
-          mem[start + i] = c.words[i];
-          ++written;
-        }
-        shadow_.memories[c.space - 1][start + i] = c.words[i];
-      }
+    for (size_t i = 0; i < c.words.size(); ++i) {
+      const size_t w = start + i;
+      Live(c.space, w) = shadow[w] =
+          TruncBits(c.words[i], LiveWidth(c.space, w));
     }
   }
-
-  ++delta_stats_.restores;
-  delta_stats_.words_restored += written;
-  delta_stats_.full_words += StateWords(shadow_);
   dirty_ = true;
   return Status::Ok();
 }
 
 void Simulator::MarkSynced() {
   Eval();
-  const auto& flops = design_.flops();
-  for (size_t i = 0; i < flops.size(); ++i)
-    shadow_.flops[i] = values_[flops[i].q];
-  shadow_.memories = memories_;
-  flop_dirty_.ClearAll();
-  for (auto& bm : mem_dirty_) bm.ClearAll();
+  Resync();
 }
 
 }  // namespace hardsnap::sim

@@ -91,8 +91,8 @@ class Simulator {
   // state touches O(diff) words), and the call establishes a new dirty-
   // tracking sync point (see below).
   Status RestoreState(const HardwareState& state);
-  // Whether `st` has this design's flop count and memory depths.
-  bool ShapeMatches(const HardwareState& st) const;
+  // This design's flop count and memory depths.
+  const StateShape& shape() const { return shape_; }
 
   // --- delta snapshotting --------------------------------------------------
   // The simulator tracks which kChunkWords-sized chunks of architectural
@@ -108,12 +108,14 @@ class Simulator {
   StateDelta CaptureDelta();
   // Restores the state `delta` away from the last sync point: applies the
   // delta's chunks and reverts any other chunks dirtied since the sync
-  // point. When delta.base_hash is set it is checked against the sync
-  // point's state. Starts a new sync point at the restored state.
+  // point. The whole delta is checked (shape, chunks and, when
+  // delta.base_hash is set, the sync point's hash) before anything is
+  // written, so a rejected delta changes nothing. Words truncate to their
+  // flop's or memory's width, as in RestoreState. Starts a new sync point
+  // at the restored state.
   Status RestoreDelta(const StateDelta& delta);
   // Declares the current live state a sync point without capturing.
   void MarkSynced();
-  const DeltaStats& delta_stats() const { return delta_stats_; }
 
   // Commits `next` as the state that `cycles` clock edges produce, without
   // simulating them: like an edge it truncates to width, marks changed
@@ -133,9 +135,14 @@ class Simulator {
 
   Status Levelize();
   void CommitEdge();
-  // Writes `st` over the live state and returns how many words changed;
-  // with `mark_dirty` each change marks its chunk, as a clock edge does.
-  uint64_t WriteState(const HardwareState& st, bool mark_dirty);
+  // Writes `st` over the live state, truncating each word to width; with
+  // `mark_dirty` each change marks its chunk, as a clock edge does.
+  void WriteState(const HardwareState& st, bool mark_dirty);
+  // Copies the live state into the shadow and clears every dirty bit.
+  void Resync();
+  // Word `word` of chunk space `space` of the live state, and its width.
+  uint64_t& Live(uint32_t space, size_t word);
+  unsigned LiveWidth(uint32_t space, size_t word) const;
 
   rtl::Design design_;
   // Lazily settled: `dirty_` marks pending input/state pokes; Eval() is
@@ -150,12 +157,11 @@ class Simulator {
 
   // --- dirty-state change tracking --------------------------------------
   // Shadow copy of the architectural state at the last sync point, plus
-  // per-chunk dirty bitmaps (flop space + one per memory).
+  // one per-chunk dirty bitmap per chunk space.
   std::vector<int32_t> flop_of_signal_;  // SignalId -> flop index, -1 none
+  StateShape shape_;
   HardwareState shadow_;
-  ChunkBitmap flop_dirty_;
-  std::vector<ChunkBitmap> mem_dirty_;
-  DeltaStats delta_stats_;
+  std::vector<ChunkBitmap> dirty_chunks_;  // [space]
 };
 
 }  // namespace hardsnap::sim

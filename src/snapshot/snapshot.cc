@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/crc32.h"
+#include "common/fnv.h"
 
 namespace hardsnap::snapshot {
 
@@ -34,19 +35,15 @@ Status VerifyCrc(const std::vector<uint8_t>& bytes, const char* what) {
 
 uint64_t StateShapeDigest(const rtl::Design& design) {
   // FNV-1a over the flop widths and memory geometry.
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(design.flops().size());
-  for (const auto& ff : design.flops()) mix(design.signal(ff.q).width);
-  mix(design.memories().size());
+  Fnv1a h;
+  h.Mix(design.flops().size());
+  for (const auto& ff : design.flops()) h.Mix(design.signal(ff.q).width);
+  h.Mix(design.memories().size());
   for (const auto& m : design.memories()) {
-    mix(m.width);
-    mix(m.depth);
+    h.Mix(m.width);
+    h.Mix(m.depth);
   }
-  return h;
+  return h.digest();
 }
 
 namespace {
@@ -112,10 +109,10 @@ std::vector<uint8_t> SerializeStateDelta(const sim::StateDelta& delta) {
   w.PutU32(0x48535344);  // "HSSD"
   w.PutU8(kStateFormatVersion);
   w.PutU64(delta.base_hash);
-  w.PutU32(delta.chunk_words);
-  w.PutU32(delta.num_flops);
-  w.PutU32(static_cast<uint32_t>(delta.mem_depths.size()));
-  for (uint32_t d : delta.mem_depths) w.PutU32(d);
+  w.PutU32(kChunkWords);
+  w.PutU32(delta.shape.num_flops);
+  w.PutU32(static_cast<uint32_t>(delta.shape.mem_depths.size()));
+  for (uint32_t d : delta.shape.mem_depths) w.PutU32(d);
   w.PutU32(static_cast<uint32_t>(delta.chunks.size()));
   for (const auto& c : delta.chunks) {
     w.PutU32(c.space);
@@ -141,19 +138,18 @@ Result<sim::StateDelta> DeserializeStateDelta(
   d.base_hash = base.value();
   auto cw = r.GetU32();
   if (!cw.ok()) return cw.status();
-  d.chunk_words = cw.value();
-  if (d.chunk_words != kChunkWords)
+  if (cw.value() != kChunkWords)
     return InvalidArgument("delta blob chunk size mismatch");
   auto nf = r.GetU32();
   if (!nf.ok()) return nf.status();
-  d.num_flops = nf.value();
+  d.shape.num_flops = nf.value();
   auto nmem = r.GetU32();
   if (!nmem.ok()) return nmem.status();
-  d.mem_depths.reserve(nmem.value());
+  d.shape.mem_depths.reserve(nmem.value());
   for (uint32_t i = 0; i < nmem.value(); ++i) {
     auto depth = r.GetU32();
     if (!depth.ok()) return depth.status();
-    d.mem_depths.push_back(depth.value());
+    d.shape.mem_depths.push_back(depth.value());
   }
   auto nchunks = r.GetU32();
   if (!nchunks.ok()) return nchunks.status();
@@ -171,15 +167,7 @@ Result<sim::StateDelta> DeserializeStateDelta(
     c.words = std::move(words).value();
     // Validate chunk geometry against the declared shape so a corrupt
     // blob fails here rather than scribbling on a target later.
-    if (c.space > d.mem_depths.size())
-      return InvalidArgument("delta blob chunk space out of range");
-    const size_t space_words =
-        c.space == 0 ? d.num_flops : d.mem_depths[c.space - 1];
-    const size_t start = size_t{c.index} * kChunkWords;
-    if (start >= space_words)
-      return InvalidArgument("delta blob chunk index out of range");
-    if (c.words.size() != std::min<size_t>(kChunkWords, space_words - start))
-      return InvalidArgument("delta blob chunk payload size mismatch");
+    HS_RETURN_IF_ERROR(d.shape.Check(c));
     d.chunks.push_back(std::move(c));
   }
   if (r.remaining() != 4)  // exactly the CRC trailer must remain
@@ -190,24 +178,9 @@ Result<sim::StateDelta> DeserializeStateDelta(
 namespace {
 
 uint64_t HashChunk(const std::vector<uint64_t>& words) {
-  uint64_t h = 1469598103934665603ull;
-  for (uint64_t w : words) {
-    h ^= w;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// Chunk layout of one stored snapshot: flop chunks first, then each
-// memory's chunks. Returns the linear chunk index of (space, index).
-size_t LinearChunk(uint32_t num_flops, const std::vector<uint32_t>& depths,
-                   uint32_t space, uint32_t index) {
-  size_t base = 0;
-  if (space > 0) {
-    base = NumChunks(num_flops);
-    for (uint32_t m = 0; m + 1 < space; ++m) base += NumChunks(depths[m]);
-  }
-  return base + index;
+  Fnv1a h;
+  for (uint64_t w : words) h.Mix(w);
+  return h.digest();
 }
 
 }  // namespace
@@ -236,41 +209,23 @@ ChunkPtr SnapshotStore::Intern(std::vector<uint64_t> words) {
 
 SnapshotStore::Stored SnapshotStore::MakeStored(const sim::HardwareState& state,
                                                 std::string label) {
-  Stored s;
-  s.label = std::move(label);
-  s.num_flops = static_cast<uint32_t>(state.flops.size());
-  s.mem_depths.reserve(state.memories.size());
-  for (const auto& mem : state.memories)
-    s.mem_depths.push_back(static_cast<uint32_t>(mem.size()));
-  s.logical_words = sim::StateWords(state);
-  s.content_hash = sim::HashState(state);
-
-  auto chunk_space = [&](const std::vector<uint64_t>& words) {
-    for (uint32_t c = 0; c < NumChunks(words.size()); ++c) {
-      const size_t start = size_t{c} * kChunkWords;
-      const size_t len = std::min<size_t>(kChunkWords, words.size() - start);
-      s.chunks.push_back(Intern(
-          {words.begin() + start, words.begin() + start + len}));
-    }
-  };
-  chunk_space(state.flops);
-  for (const auto& mem : state.memories) chunk_space(mem);
+  sim::StateDelta full = sim::FullDelta(state);
+  Stored s{std::move(label), std::move(full.shape), {},
+           sim::HashState(state), sim::StateWords(state)};
+  s.chunks.reserve(full.chunks.size());
+  for (auto& c : full.chunks) s.chunks.push_back(Intern(std::move(c.words)));
   return s;
 }
 
 sim::HardwareState SnapshotStore::Assemble(const Stored& s) {
   sim::HardwareState st;
-  st.flops.reserve(s.num_flops);
-  st.memories.resize(s.mem_depths.size());
+  st.memories.resize(s.shape.mem_depths.size());
   size_t ci = 0;
-  for (uint32_t c = 0; c < NumChunks(s.num_flops); ++c, ++ci)
-    st.flops.insert(st.flops.end(), s.chunks[ci]->begin(),
-                    s.chunks[ci]->end());
-  for (size_t m = 0; m < s.mem_depths.size(); ++m) {
-    st.memories[m].reserve(s.mem_depths[m]);
-    for (uint32_t c = 0; c < NumChunks(s.mem_depths[m]); ++c, ++ci)
-      st.memories[m].insert(st.memories[m].end(), s.chunks[ci]->begin(),
-                            s.chunks[ci]->end());
+  for (uint32_t sp = 0; sp < s.shape.num_spaces(); ++sp) {
+    auto& words = sim::Space(st, sp);
+    words.reserve(s.shape.SpaceWords(sp));
+    for (uint32_t c = 0; c < NumChunks(s.shape.SpaceWords(sp)); ++c, ++ci)
+      words.insert(words.end(), s.chunks[ci]->begin(), s.chunks[ci]->end());
   }
   return st;
 }
@@ -335,52 +290,17 @@ Status SnapshotStore::Drop(SnapshotId id) {
 Status SnapshotStore::ApplyDelta(const Stored& base,
                                  const sim::StateDelta& delta,
                                  std::string label, Stored* out) {
-  if (delta.chunk_words != kChunkWords)
-    return InvalidArgument("delta chunk size mismatch");
-  if (delta.num_flops != base.num_flops ||
-      delta.mem_depths != base.mem_depths)
+  if (delta.shape != base.shape)
     return InvalidArgument("delta shape does not match base snapshot");
   if (delta.base_hash != 0 && delta.base_hash != base.content_hash)
     return InvalidArgument("delta base is not this snapshot's content");
+  HS_RETURN_IF_ERROR(delta.Check());
 
-  Stored s;
-  s.label = std::move(label);
-  s.num_flops = base.num_flops;
-  s.mem_depths = base.mem_depths;
-  s.logical_words = base.logical_words;
-  s.chunks = base.chunks;  // structural sharing: O(chunks) pointer copies
-  for (const auto& c : delta.chunks) {
-    if (c.space > s.mem_depths.size())
-      return InvalidArgument("delta chunk space out of range");
-    const size_t space_words =
-        c.space == 0 ? s.num_flops : s.mem_depths[c.space - 1];
-    const size_t start = size_t{c.index} * kChunkWords;
-    if (start >= space_words)
-      return InvalidArgument("delta chunk index out of range");
-    if (c.words.size() != std::min<size_t>(kChunkWords, space_words - start))
-      return InvalidArgument("delta chunk payload size mismatch");
-    s.chunks[LinearChunk(s.num_flops, s.mem_depths, c.space, c.index)] =
-        Intern(c.words);
-  }
-
-  // Content hash over the chunk walk (no assembly; same function
-  // as sim::HashState so delta base hashes keep chaining).
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  size_t ci = 0;
-  mix(s.num_flops);
-  for (uint32_t c = 0; c < NumChunks(s.num_flops); ++c, ++ci)
-    for (uint64_t w : *s.chunks[ci]) mix(w);
-  mix(s.mem_depths.size());
-  for (uint32_t depth : s.mem_depths) {
-    mix(depth);
-    for (uint32_t c = 0; c < NumChunks(depth); ++c, ++ci)
-      for (uint64_t w : *s.chunks[ci]) mix(w);
-  }
-  s.content_hash = h;
+  // Structural sharing: O(chunks) pointer copies, then the changed chunks.
+  Stored s{std::move(label), base.shape, base.chunks, 0, base.logical_words};
+  for (const auto& c : delta.chunks)
+    s.chunks[s.shape.FirstChunk(c.space) + c.index] = Intern(c.words);
+  s.content_hash = sim::HashState(Assemble(s));
   *out = std::move(s);
   return Status::Ok();
 }
@@ -428,7 +348,7 @@ Result<sim::StateDelta> SnapshotStore::DeltaBetween(SnapshotId base,
     return NotFound("snapshot " + std::to_string(next) + " does not exist");
   const Stored& b = bit->second;
   const Stored& n = nit->second;
-  if (b.num_flops != n.num_flops || b.mem_depths != n.mem_depths)
+  if (b.shape != n.shape)
     return InvalidArgument("snapshots have different shapes");
 
   return DiffLocked(b, n);
@@ -436,21 +356,15 @@ Result<sim::StateDelta> SnapshotStore::DeltaBetween(SnapshotId base,
 
 sim::StateDelta SnapshotStore::DiffLocked(const Stored& b,
                                           const Stored& n) const {
-  sim::StateDelta d;
-  d.base_hash = b.content_hash;
-  d.num_flops = n.num_flops;
-  d.mem_depths = n.mem_depths;
+  sim::StateDelta d{b.content_hash, n.shape, {}};
   size_t ci = 0;
-  auto diff_space = [&](uint32_t space, uint32_t words) {
-    for (uint32_t c = 0; c < NumChunks(words); ++c, ++ci) {
+  for (uint32_t sp = 0; sp < n.shape.num_spaces(); ++sp) {
+    for (uint32_t c = 0; c < NumChunks(n.shape.SpaceWords(sp)); ++c, ++ci) {
       if (b.chunks[ci] == n.chunks[ci]) continue;  // structurally shared
       if (*b.chunks[ci] == *n.chunks[ci]) continue;
-      d.chunks.push_back({space, c, *n.chunks[ci]});
+      d.chunks.push_back({sp, c, *n.chunks[ci]});
     }
-  };
-  diff_space(0, n.num_flops);
-  for (size_t m = 0; m < n.mem_depths.size(); ++m)
-    diff_space(static_cast<uint32_t>(1 + m), n.mem_depths[m]);
+  }
   return d;
 }
 
@@ -510,8 +424,7 @@ Result<std::vector<uint8_t>> SnapshotStore::Serialize() const {
     // snapshot (and any shape change) ships full. The delta's base_hash
     // chains each snapshot to its predecessor, so a corrupt link fails at
     // Restore instead of silently reconstructing the wrong content.
-    if (prev != nullptr && prev->num_flops == s.num_flops &&
-        prev->mem_depths == s.mem_depths) {
+    if (prev != nullptr && prev->shape == s.shape) {
       w.PutU8(1);
       std::vector<uint8_t> blob = SerializeStateDelta(DiffLocked(*prev, s));
       w.PutU32(static_cast<uint32_t>(blob.size()));

@@ -178,9 +178,8 @@ class SnapshotStore {
  private:
   struct Stored {
     std::string label;
-    uint32_t num_flops = 0;
-    std::vector<uint32_t> mem_depths;
-    std::vector<ChunkPtr> chunks;  // flop chunks, then each memory's chunks
+    sim::StateShape shape;
+    std::vector<ChunkPtr> chunks;  // in shape.FirstChunk order
     uint64_t content_hash = 0;
     size_t logical_words = 0;
   };

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/bitops.h"
+#include "common/fnv.h"
 
 namespace hardsnap::solver {
 
@@ -375,12 +376,9 @@ Result<BvResult> BvSolver::Check(const std::vector<TermId>& assertions,
       if (!ctx_->IsConst(a)) canon.push_back(a);
     std::sort(canon.begin(), canon.end());
     canon.erase(std::unique(canon.begin(), canon.end()), canon.end());
-    uint64_t h = 1469598103934665603ull;
-    for (TermId a : canon) {
-      h ^= static_cast<uint64_t>(a);
-      h *= 1099511628211ull;
-    }
-    cache_key = h;
+    Fnv1a h;
+    for (TermId a : canon) h.Mix(static_cast<uint64_t>(a));
+    cache_key = h.digest();
     auto it = cache_.find(cache_key);
     if (it != cache_.end()) {
       ++stats_.cache_hits;

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/bitops.h"
+#include "common/fnv.h"
 
 namespace hardsnap::solver {
 
@@ -46,18 +47,14 @@ TermId BvContext::Intern(Term term) {
   // Hash over (op, width, value, hi, lo, args); variables are nominal and
   // never interned.
   if (term.op != TOp::kVar) {
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    mix(static_cast<uint64_t>(term.op));
-    mix(term.width);
-    mix(term.value);
-    mix(term.hi);
-    mix(term.lo);
-    for (TermId a : term.args) mix(static_cast<uint64_t>(a));
-    auto& bucket = cons_table_[h];
+    Fnv1a h;
+    h.Mix(static_cast<uint64_t>(term.op));
+    h.Mix(term.width);
+    h.Mix(term.value);
+    h.Mix(term.hi);
+    h.Mix(term.lo);
+    for (TermId a : term.args) h.Mix(static_cast<uint64_t>(a));
+    auto& bucket = cons_table_[h.digest()];
     for (TermId cand : bucket) {
       const Term& t = terms_[cand];
       if (t.op == term.op && t.width == term.width && t.value == term.value &&

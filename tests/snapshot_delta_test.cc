@@ -97,6 +97,38 @@ TEST(DeltaPrimitivesTest, FullDeltaCoversEveryChunkAndApplies) {
   EXPECT_EQ(a, b);
 }
 
+TEST(DeltaPrimitivesTest, StateShapeGeometry) {
+  HardwareState a;
+  a.flops.assign(9, 0);              // chunks of 4, 4, 1 words
+  a.memories = {{1, 2, 3}, {}, {4}};  // 1 chunk, none, 1 chunk
+  const sim::StateShape shape = sim::StateShape::Of(a);
+  EXPECT_EQ(shape, (sim::StateShape{9, {3, 0, 1}}));
+  EXPECT_TRUE(shape.Matches(a));
+  EXPECT_EQ(shape.num_spaces(), 4u);
+  EXPECT_EQ(shape.SpaceWords(1), 3u);
+  EXPECT_EQ(shape.ChunkLen(0, 1), 4u);
+  EXPECT_EQ(shape.ChunkLen(0, 2), 1u);
+  EXPECT_EQ(shape.FirstChunk(0), 0u);
+  EXPECT_EQ(shape.FirstChunk(1), 3u);
+  EXPECT_EQ(shape.FirstChunk(3), 4u);
+  EXPECT_EQ(shape.FirstChunk(4), 5u);  // total chunk count
+  EXPECT_TRUE(shape.Check({3, 0, {4}}).ok());
+  EXPECT_FALSE(shape.Check({4, 0, {4}}).ok());     // no such space
+  EXPECT_FALSE(shape.Check({2, 0, {}}).ok());      // empty space: no chunks
+  EXPECT_FALSE(shape.Check({0, 2, {1, 2}}).ok());  // tail chunk is 1 word
+  a.memories[2].push_back(5);
+  EXPECT_FALSE(shape.Matches(a));
+}
+
+// HashState's value is stored in checkpoints and sent as HSSD base_hash,
+// so its mixing (FNV-1a over sizes and words) is pinned here.
+TEST(DeltaPrimitivesTest, HashStateIsPinned) {
+  HardwareState st;
+  st.flops = {1, 2, 3};
+  st.memories = {{4, 5}};
+  EXPECT_EQ(sim::HashState(st), 0x5fdc0b10d933be20ull);
+}
+
 TEST(DeltaPrimitivesTest, DiffStatesEmitsOnlyChangedChunks) {
   HardwareState a;
   a.flops.assign(20, 7);  // 5 chunks
@@ -480,8 +512,7 @@ TEST(ChunkedStoreTest, RandomForkTreeMatchesReferenceStore) {
 StateDelta SampleDelta() {
   StateDelta d;
   d.base_hash = 0xabcdef;
-  d.num_flops = 20;
-  d.mem_depths = {10, 3};
+  d.shape = {20, {10, 3}};
   static_assert(sim::kChunkWords == 4, "fixture hardcodes 4-word chunks");
   d.chunks.push_back({0, 1, {1, 2, 3, 4}});   // full flop chunk
   d.chunks.push_back({0, 4, {9, 10, 11, 12}});  // last flop chunk (words 16..19)
@@ -524,6 +555,17 @@ TEST(DeltaSerializeTest, RejectsTrailingBytes) {
   EXPECT_FALSE(snapshot::DeserializeStateDelta(blob).ok());
 }
 
+// `d` three times, its last chunk broken in each way StateShape::Check
+// rejects: a space out of range, an index out of range, a short payload.
+std::vector<StateDelta> MalformedTails(const StateDelta& d) {
+  std::vector<StateDelta> bad(3, d);
+  const sim::DeltaChunk& last = d.chunks.back();
+  bad[0].chunks.back().space = d.shape.num_spaces();
+  bad[1].chunks.back().index = sim::NumChunks(d.shape.SpaceWords(last.space));
+  bad[2].chunks.back().words.pop_back();
+  return bad;
+}
+
 TEST(DeltaSerializeTest, RejectsBadChunkGeometry) {
   StateDelta bad = SampleDelta();
   bad.chunks[0].space = 7;  // no such space
@@ -540,6 +582,14 @@ TEST(DeltaSerializeTest, RejectsBadChunkGeometry) {
   EXPECT_FALSE(
       snapshot::DeserializeStateDelta(snapshot::SerializeStateDelta(bad))
           .ok());
+  // The same faults in the last chunk, after valid ones.
+  for (const StateDelta& tail : MalformedTails(SampleDelta())) {
+    EXPECT_EQ(snapshot::DeserializeStateDelta(
+                  snapshot::SerializeStateDelta(tail))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(DeltaSerializeTest, MismatchedBaseRejectedAtApply) {
@@ -559,6 +609,102 @@ TEST(DeltaSerializeTest, MismatchedBaseRejectedAtApply) {
   HardwareState right_base = a;
   ASSERT_TRUE(sim::ApplyDeltaToState(&right_base, decoded.value()).ok());
   EXPECT_EQ(right_base, b);
+}
+
+// ---------------------------------------------------------------------------
+// A delta whose last chunk is malformed is rejected whole: every consumer
+// checks all of it before writing, so the chunks before the bad one never
+// land either.
+
+// A two-chunk delta from `a`: one flop chunk, then one memory chunk.
+StateDelta TwoChunkDelta(const HardwareState& a) {
+  HardwareState b = a;
+  b.flops[0] ^= 1;
+  b.memories[0][0] ^= 1;
+  auto d = sim::DiffStates(a, b);
+  HS_CHECK(d.ok() && d.value().chunks.size() == 2);
+  return std::move(d).value();
+}
+
+TEST(MalformedDeltaTest, ApplyDeltaToStateLeavesTheTargetUnchanged) {
+  Rng rng(21);
+  const HardwareState a = RandomState(&rng, 20, {10, 3});
+  for (const StateDelta& bad : MalformedTails(TwoChunkDelta(a))) {
+    HardwareState target = a;
+    EXPECT_EQ(sim::ApplyDeltaToState(&target, bad).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(target, a);
+  }
+}
+
+TEST(MalformedDeltaTest, RestoreDeltaLeavesLiveStateAndSyncPointUnchanged) {
+  auto sim_or = sim::Simulator::Create(Soc());
+  ASSERT_TRUE(sim_or.ok());
+  sim::Simulator sim = std::move(sim_or).value();
+  ASSERT_TRUE(sim.Reset().ok());
+  sim.MarkSynced();
+  const HardwareState at_sync = sim.DumpState();
+  Rng rng(5);
+  RandomStimulus(&sim, &rng, 15, 0x400);
+  const HardwareState drifted = sim.DumpState();
+  ASSERT_NE(drifted, at_sync);
+
+  StateDelta d = TwoChunkDelta(at_sync);
+  for (const StateDelta& bad : MalformedTails(d)) {
+    EXPECT_EQ(sim.RestoreDelta(bad).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(sim.DumpState(), drifted);
+  }
+  // The sync point and its dirty bits survived: the next capture is still
+  // the whole drift, against the same base.
+  StateDelta drift = sim.CaptureDelta();
+  EXPECT_EQ(drift.base_hash, sim::HashState(at_sync));
+  HardwareState rebuilt = at_sync;
+  ASSERT_TRUE(sim::ApplyDeltaToState(&rebuilt, drift).ok());
+  EXPECT_EQ(rebuilt, drifted);
+}
+
+TEST(MalformedDeltaTest, PutDeltaLeavesTheStoreUnchanged) {
+  Rng rng(22);
+  const HardwareState a = RandomState(&rng, 20, {10, 3});
+  snapshot::SnapshotStore store(0);
+  auto base = store.Put(a);
+  ASSERT_TRUE(base.ok());
+  const auto stats = store.stats();
+  const size_t resident = store.ResidentBytes();
+  for (const StateDelta& bad : MalformedTails(TwoChunkDelta(a))) {
+    EXPECT_EQ(store.PutDelta(base.value(), bad).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(store.Ids(), std::vector<snapshot::SnapshotId>{base.value()});
+    EXPECT_EQ(store.stats().chunks_stored, stats.chunks_stored);
+    EXPECT_EQ(store.stats().chunks_shared, stats.chunks_shared);
+    EXPECT_EQ(store.ResidentBytes(), resident);
+    EXPECT_EQ(store.Get(base.value()).value().state, a);
+  }
+}
+
+// RestoreDelta truncates memory words to the memory's width, exactly as
+// RestoreState does (a remote kRestoreDelta decodes geometry, not widths).
+TEST(MalformedDeltaTest, RestoreDeltaTruncatesMemoryWordsToWidth) {
+  auto sim_or = sim::Simulator::Create(Soc());
+  ASSERT_TRUE(sim_or.ok());
+  sim::Simulator sim = std::move(sim_or).value();
+  ASSERT_TRUE(sim.Reset().ok());
+  sim.MarkSynced();
+  const uint32_t mem = sim.design().FindMemory("u_uart.tx_fifo");
+  ASSERT_NE(mem, rtl::kInvalidId);
+  const HardwareState at_sync = sim.DumpState();
+  HardwareState wide = at_sync;
+  wide.memories[mem][0] = ~uint64_t{0};
+
+  auto d = sim::DiffStates(at_sync, wide);
+  ASSERT_TRUE(d.ok());
+  ASSERT_TRUE(sim.RestoreDelta(d.value()).ok());
+  EXPECT_EQ(sim.PeekMemory("u_uart.tx_fifo", 0).value(), 0xffu);
+  // The new sync point holds the truncated word too.
+  EXPECT_EQ(sim.CaptureDelta().base_hash, sim::HashState(sim.DumpState()));
+
+  ASSERT_TRUE(sim.RestoreState(wide).ok());
+  EXPECT_EQ(sim.PeekMemory("u_uart.tx_fifo", 0).value(), 0xffu);
 }
 
 // ---------------------------------------------------------------------------
