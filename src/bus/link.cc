@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "common/crc32.h"
 #include "common/serde.h"
 
 namespace hardsnap::bus {
@@ -21,13 +20,22 @@ LinkStats& LinkStats::operator+=(const LinkStats& o) {
   return *this;
 }
 
+namespace {
+
+template <class Io, RecordOf<Frame> T>
+void Xfer(Io& io, T& f) {
+  io.U8(f.kind);
+  io.U32(f.seq);
+  io.U32(f.addr);
+  io.U32(f.value);
+}
+
+}  // namespace
+
 std::vector<uint8_t> Frame::Encode() const {
   ByteWriter w;
-  w.PutU8(kind);
-  w.PutU32(seq);
-  w.PutU32(addr);
-  w.PutU32(value);
-  w.PutU32(Crc32(w.bytes().data(), w.bytes().size()));
+  Xfer(w, *this);
+  w.Crc();
   return w.Take();
 }
 
@@ -35,15 +43,11 @@ Result<Frame> Frame::Decode(const std::vector<uint8_t>& bytes) {
   if (bytes.size() != kWireBytes)
     return DataLoss("frame: expected " + std::to_string(kWireBytes) +
                     " bytes, got " + std::to_string(bytes.size()));
-  const uint32_t computed = Crc32(bytes.data(), kWireBytes - 4);
-  ByteReader r(bytes);
+  HS_RETURN_IF_ERROR(VerifyCrc(bytes.data(), kWireBytes, "frame"));
+  ByteReader r(bytes.data(), kWireBytes - 4);
   Frame f;
-  HS_ASSIGN_OR_RETURN(f.kind, r.GetU8());
-  HS_ASSIGN_OR_RETURN(f.seq, r.GetU32());
-  HS_ASSIGN_OR_RETURN(f.addr, r.GetU32());
-  HS_ASSIGN_OR_RETURN(f.value, r.GetU32());
-  HS_ASSIGN_OR_RETURN(const uint32_t stored, r.GetU32());
-  if (stored != computed) return DataLoss("frame: CRC mismatch");
+  Xfer(r, f);
+  HS_RETURN_IF_ERROR(r.Finish("frame"));
   return f;
 }
 

@@ -124,7 +124,7 @@ struct Frame {
   static constexpr size_t kWireBytes = 17;
 
   std::vector<uint8_t> Encode() const;
-  // kDataLoss on CRC mismatch, kOutOfRange on short frame.
+  // kDataLoss on a wrong length or a CRC mismatch.
   static Result<Frame> Decode(const std::vector<uint8_t>& bytes);
 };
 

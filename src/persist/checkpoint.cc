@@ -1,408 +1,206 @@
 #include "persist/checkpoint.h"
 
-#include <algorithm>
-#include <cstring>
-
-#include "common/crc32.h"
+#include <bit>
 
 namespace hardsnap::persist {
 
 namespace {
 
+// The container CRC discipline is the snapshot blobs': a trailer over
+// everything before it, verified before any field is trusted.
+constexpr Envelope kCheckpointEnvelope{kCheckpointMagic,
+                                       kCheckpointFormatVersion, "checkpoint"};
+
 // Journal record types.
 constexpr uint8_t kRecordFuzzAck = 1;
 constexpr uint8_t kRecordSymexReport = 2;
 
-void PutByteVector(ByteWriter* w, const std::vector<uint8_t>& v) {
-  w->PutU32(static_cast<uint32_t>(v.size()));
-  w->PutBytes(v.data(), v.size());
+// A Duration travels as its picosecond count, a double as its bits.
+template <class Io, class D>
+void XferPicos(Io& io, D& d) {
+  uint64_t ps = static_cast<uint64_t>(d.picos());
+  io.U64(ps);
+  if constexpr (Io::kReading) d = Duration::Picos(static_cast<int64_t>(ps));
 }
 
-Result<std::vector<uint8_t>> GetByteVector(ByteReader* r) {
-  auto n = r->GetU32();
-  if (!n.ok()) return n.status();
-  if (r->remaining() < n.value())
-    return OutOfRange("byte vector truncated");
-  std::vector<uint8_t> v(n.value());
-  HS_RETURN_IF_ERROR(r->GetBytes(v.data(), v.size()));
-  return v;
+template <class Io, class F>
+void XferBits(Io& io, F& x) {
+  uint64_t bits = std::bit_cast<uint64_t>(x);
+  io.U64(bits);
+  if constexpr (Io::kReading) x = std::bit_cast<double>(bits);
 }
 
-void PutDouble(ByteWriter* w, double d) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof bits);
-  w->PutU64(bits);
+// The List bounds below are lower bounds on an element's encoded size.
+
+template <class Io, RecordOf<symex::TestCase> T>
+void Xfer(Io& io, T& tc) {
+  io.Str(tc.origin);
+  io.List(tc.inputs, 12, [](auto& io, auto& input) {
+    io.Str(input.first);
+    io.U64(input.second);
+  });
 }
 
-Result<double> GetDouble(ByteReader* r) {
-  auto bits = r->GetU64();
-  if (!bits.ok()) return bits.status();
-  double d = 0;
-  const uint64_t v = bits.value();
-  std::memcpy(&d, &v, sizeof d);
-  return d;
-}
-
-void PutTestCase(ByteWriter* w, const symex::TestCase& tc) {
-  w->PutString(tc.origin);
-  w->PutU32(static_cast<uint32_t>(tc.inputs.size()));
-  for (const auto& [name, value] : tc.inputs) {
-    w->PutString(name);
-    w->PutU64(value);
-  }
-}
-
-Result<symex::TestCase> GetTestCase(ByteReader* r) {
-  symex::TestCase tc;
-  HS_ASSIGN_OR_RETURN(tc.origin, r->GetString());
-  auto n = r->GetU32();
-  if (!n.ok()) return n.status();
-  for (uint32_t i = 0; i < n.value(); ++i) {
-    auto name = r->GetString();
-    if (!name.ok()) return name.status();
-    auto value = r->GetU64();
-    if (!value.ok()) return value.status();
-    tc.inputs[name.value()] = value.value();
-  }
-  return tc;
-}
-
-void PutLinkStats(ByteWriter* w, const bus::LinkStats& s) {
-  w->PutU64(s.frames_sent);
-  w->PutU64(s.retransmits);
-  w->PutU64(s.drops);
-  w->PutU64(s.corruptions);
-  w->PutU64(s.crc_rejects);
-  w->PutU64(s.stalls);
-  w->PutU64(s.outages);
-  w->PutU64(s.dedup_hits);
-  w->PutU64(s.deadline_breaches);
-  w->PutU64(s.failed_ops);
-}
-
-Result<bus::LinkStats> GetLinkStats(ByteReader* r) {
-  bus::LinkStats s;
-  for (uint64_t* field :
+template <class Io, RecordOf<bus::LinkStats> T>
+void Xfer(Io& io, T& s) {
+  for (auto* field :
        {&s.frames_sent, &s.retransmits, &s.drops, &s.corruptions,
         &s.crc_rejects, &s.stalls, &s.outages, &s.dedup_hits,
-        &s.deadline_breaches, &s.failed_ops}) {
-    auto v = r->GetU64();
-    if (!v.ok()) return v.status();
-    *field = v.value();
-  }
-  return s;
+        &s.deadline_breaches, &s.failed_ops})
+    io.U64(*field);
 }
 
-// Container CRC discipline, identical to the snapshot blobs: trailer over
-// everything before it, verified before any field is trusted.
-void AppendCrc(ByteWriter* w) {
-  w->PutU32(Crc32(w->bytes().data(), w->bytes().size()));
+template <class Io, RecordOf<symex::Report> T>
+void Xfer(Io& io, T& report) {
+  io.List(report.bugs, 20, [](auto& io, auto& bug) {
+    io.U32(bug.pc);
+    io.Str(bug.kind);
+    io.Str(bug.detail);
+    Xfer(io, bug.test_case);
+  });
+  io.List(report.test_cases, 8, [](auto& io, auto& tc) { Xfer(io, tc); });
+  io.U64(report.paths_completed);
+  io.U64(report.paths_exited);
+  io.List(report.exit_codes, 4, [](auto& io, auto& code) { io.U32(code); });
+  for (auto* field :
+       {&report.forks, &report.instructions, &report.interrupts_served,
+        &report.hw_context_switches, &report.replayed_instructions,
+        &report.reboots, &report.concretizations, &report.solver_queries,
+        &report.covered_pcs, &report.snapshot_bytes_copied,
+        &report.snapshot_bytes_shared})
+    io.U64(*field);
+  XferBits(io, report.snapshot_dedup_ratio);
+  XferPicos(io, report.analysis_hw_time);
+  XferPicos(io, report.replay_overhead);
+  Xfer(io, report.link);
+  io.Str(report.console);
 }
 
-Status VerifyCrc(const std::vector<uint8_t>& bytes, const char* what) {
-  if (bytes.size() < 4)
-    return DataLoss(std::string(what) + ": too short for a CRC trailer");
-  const size_t body = bytes.size() - 4;
-  uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) stored |= uint32_t{bytes[body + i]} << (8 * i);
-  if (stored != Crc32(bytes.data(), body))
-    return DataLoss(std::string(what) + ": CRC mismatch (corrupt blob)");
+template <class Io, RecordOf<campaign::CampaignFinding> T>
+void Xfer(Io& io, T& f) {
+  io.U32(f.crash.pc);
+  io.Str(f.crash.reason);
+  io.Blob(f.crash.input);
+  io.U32(f.worker);
+  io.U64(f.worker_seed);
+  io.U64(f.execs_at_find);
+}
+
+template <class Io, RecordOf<CampaignDurableState> T>
+void Xfer(Io& io, T& st) {
+  io.U8In(st.kind, kCampaignKindFuzz, kCampaignKindSymex,
+          "unknown campaign kind in checkpoint");
+  io.U64(st.fingerprint);
+  uint32_t workers = static_cast<uint32_t>(st.worker_done.size());
+  io.U32(workers);
+  io.U64s(st.worker_done);
+  io.U64s(st.worker_rng_digest);
+  io.Require(st.worker_done.size() == workers &&
+                 st.worker_rng_digest.size() == workers,
+             "checkpoint worker vectors disagree on count");
+  io.List(st.edges, 8, [](auto& io, auto& edge) { io.U64(edge); });
+  io.List(st.offers, 8, [](auto& io, auto& offer) {
+    io.U32(offer.worker);
+    io.Blob(offer.input);
+  });
+  io.List(st.findings, 32, [](auto& io, auto& f) { Xfer(io, f); });
+  io.Blob(st.store_blob);
+  io.List(st.symex_reports, 8, [](auto& io, auto& entry) {
+    io.U32(entry.first);
+    Xfer(io, entry.second);
+  });
+}
+
+template <class Io, RecordOf<FuzzBatchAck> T>
+void Xfer(Io& io, T& ack) {
+  io.U32(ack.worker);
+  io.U64(ack.done);
+  io.U64(ack.rng_digest);
+  io.U64s(ack.fresh_edges);
+  io.List(ack.new_inputs, 4, [](auto& io, auto& input) { io.Blob(input); });
+  io.List(ack.new_findings, 32, [](auto& io, auto& f) { Xfer(io, f); });
+}
+
+// The symex-report record's fields: the worker, then its report.
+template <class Io, class Worker, class Report>
+void XferSymexRecord(Io& io, Worker& worker, Report& report) {
+  io.U32(worker);
+  Xfer(io, report);
+}
+
+Status CheckWorker(uint32_t worker, const CampaignDurableState& state) {
+  if (worker >= state.worker_done.size())
+    return InvalidArgument("journal record for out-of-range worker");
   return Status::Ok();
 }
 
 }  // namespace
 
-void PutFinding(ByteWriter* w, const campaign::CampaignFinding& finding) {
-  w->PutU32(finding.crash.pc);
-  w->PutString(finding.crash.reason);
-  PutByteVector(w, finding.crash.input);
-  w->PutU32(finding.worker);
-  w->PutU64(finding.worker_seed);
-  w->PutU64(finding.execs_at_find);
-}
-
-Result<campaign::CampaignFinding> GetFinding(ByteReader* r) {
-  campaign::CampaignFinding f;
-  auto pc = r->GetU32();
-  if (!pc.ok()) return pc.status();
-  f.crash.pc = pc.value();
-  HS_ASSIGN_OR_RETURN(f.crash.reason, r->GetString());
-  HS_ASSIGN_OR_RETURN(f.crash.input, GetByteVector(r));
-  auto worker = r->GetU32();
-  if (!worker.ok()) return worker.status();
-  f.worker = worker.value();
-  auto seed = r->GetU64();
-  if (!seed.ok()) return seed.status();
-  f.worker_seed = seed.value();
-  auto execs = r->GetU64();
-  if (!execs.ok()) return execs.status();
-  f.execs_at_find = execs.value();
-  return f;
-}
-
-void PutSymexReport(ByteWriter* w, const symex::Report& report) {
-  w->PutU32(static_cast<uint32_t>(report.bugs.size()));
-  for (const symex::Bug& bug : report.bugs) {
-    w->PutU32(bug.pc);
-    w->PutString(bug.kind);
-    w->PutString(bug.detail);
-    PutTestCase(w, bug.test_case);
-  }
-  w->PutU32(static_cast<uint32_t>(report.test_cases.size()));
-  for (const symex::TestCase& tc : report.test_cases) PutTestCase(w, tc);
-  w->PutU64(report.paths_completed);
-  w->PutU64(report.paths_exited);
-  w->PutU32(static_cast<uint32_t>(report.exit_codes.size()));
-  for (uint32_t code : report.exit_codes) w->PutU32(code);
-  w->PutU64(report.forks);
-  w->PutU64(report.instructions);
-  w->PutU64(report.interrupts_served);
-  w->PutU64(report.hw_context_switches);
-  w->PutU64(report.replayed_instructions);
-  w->PutU64(report.reboots);
-  w->PutU64(report.concretizations);
-  w->PutU64(report.solver_queries);
-  w->PutU64(report.covered_pcs);
-  w->PutU64(report.snapshot_bytes_copied);
-  w->PutU64(report.snapshot_bytes_shared);
-  PutDouble(w, report.snapshot_dedup_ratio);
-  w->PutU64(static_cast<uint64_t>(report.analysis_hw_time.picos()));
-  w->PutU64(static_cast<uint64_t>(report.replay_overhead.picos()));
-  PutLinkStats(w, report.link);
-  w->PutString(report.console);
-}
-
-Result<symex::Report> GetSymexReport(ByteReader* r) {
-  symex::Report report;
-  auto nbugs = r->GetU32();
-  if (!nbugs.ok()) return nbugs.status();
-  for (uint32_t i = 0; i < nbugs.value(); ++i) {
-    symex::Bug bug;
-    auto pc = r->GetU32();
-    if (!pc.ok()) return pc.status();
-    bug.pc = pc.value();
-    HS_ASSIGN_OR_RETURN(bug.kind, r->GetString());
-    HS_ASSIGN_OR_RETURN(bug.detail, r->GetString());
-    HS_ASSIGN_OR_RETURN(bug.test_case, GetTestCase(r));
-    report.bugs.push_back(std::move(bug));
-  }
-  auto ntc = r->GetU32();
-  if (!ntc.ok()) return ntc.status();
-  for (uint32_t i = 0; i < ntc.value(); ++i) {
-    HS_ASSIGN_OR_RETURN(symex::TestCase tc, GetTestCase(r));
-    report.test_cases.push_back(std::move(tc));
-  }
-  for (uint64_t* field : {&report.paths_completed, &report.paths_exited}) {
-    auto v = r->GetU64();
-    if (!v.ok()) return v.status();
-    *field = v.value();
-  }
-  auto ncodes = r->GetU32();
-  if (!ncodes.ok()) return ncodes.status();
-  if (r->remaining() < size_t{ncodes.value()} * 4)
-    return OutOfRange("exit code list truncated");
-  for (uint32_t i = 0; i < ncodes.value(); ++i) {
-    auto code = r->GetU32();
-    if (!code.ok()) return code.status();
-    report.exit_codes.push_back(code.value());
-  }
-  for (uint64_t* field :
-       {&report.forks, &report.instructions, &report.interrupts_served,
-        &report.hw_context_switches, &report.replayed_instructions,
-        &report.reboots, &report.concretizations, &report.solver_queries,
-        &report.covered_pcs, &report.snapshot_bytes_copied,
-        &report.snapshot_bytes_shared}) {
-    auto v = r->GetU64();
-    if (!v.ok()) return v.status();
-    *field = v.value();
-  }
-  HS_ASSIGN_OR_RETURN(report.snapshot_dedup_ratio, GetDouble(r));
-  auto hw_time = r->GetU64();
-  if (!hw_time.ok()) return hw_time.status();
-  report.analysis_hw_time =
-      Duration::Picos(static_cast<int64_t>(hw_time.value()));
-  auto overhead = r->GetU64();
-  if (!overhead.ok()) return overhead.status();
-  report.replay_overhead =
-      Duration::Picos(static_cast<int64_t>(overhead.value()));
-  HS_ASSIGN_OR_RETURN(report.link, GetLinkStats(r));
-  HS_ASSIGN_OR_RETURN(report.console, r->GetString());
-  return report;
-}
-
 std::vector<uint8_t> SerializeCheckpoint(const CampaignDurableState& state) {
-  ByteWriter w;
-  w.PutU32(kCheckpointMagic);
-  w.PutU8(kCheckpointFormatVersion);
-  w.PutU8(state.kind);
-  w.PutU64(state.fingerprint);
-  w.PutU32(static_cast<uint32_t>(state.worker_done.size()));
-  w.PutU64Vector(state.worker_done);
-  w.PutU64Vector(state.worker_rng_digest);
-  w.PutU64Vector({state.edges.begin(), state.edges.end()});
-  w.PutU32(static_cast<uint32_t>(state.offers.size()));
-  for (const DurableOffer& offer : state.offers) {
-    w.PutU32(offer.worker);
-    PutByteVector(&w, offer.input);
-  }
-  w.PutU32(static_cast<uint32_t>(state.findings.size()));
-  for (const auto& finding : state.findings) PutFinding(&w, finding);
-  PutByteVector(&w, state.store_blob);
-  w.PutU32(static_cast<uint32_t>(state.symex_reports.size()));
-  for (const auto& [worker, report] : state.symex_reports) {
-    w.PutU32(worker);
-    PutSymexReport(&w, report);
-  }
-  AppendCrc(&w);
-  return w.Take();
+  return kCheckpointEnvelope.Seal([&](ByteWriter& w) { Xfer(w, state); });
 }
 
 Result<CampaignDurableState> DeserializeCheckpoint(
     const std::vector<uint8_t>& bytes) {
-  HS_RETURN_IF_ERROR(VerifyCrc(bytes, "checkpoint"));
-  ByteReader r(bytes);
-  auto magic = r.GetU32();
-  if (!magic.ok()) return magic.status();
-  if (magic.value() != kCheckpointMagic)
-    return InvalidArgument("not a HardSnap checkpoint (HSCP) blob");
-  auto version = r.GetU8();
-  if (!version.ok()) return version.status();
-  if (version.value() != kCheckpointFormatVersion)
-    return InvalidArgument("unsupported HSCP format version " +
-                           std::to_string(version.value()));
   CampaignDurableState state;
-  auto kind = r.GetU8();
-  if (!kind.ok()) return kind.status();
-  state.kind = kind.value();
-  if (state.kind != kCampaignKindFuzz && state.kind != kCampaignKindSymex)
-    return InvalidArgument("unknown campaign kind in checkpoint");
-  auto fingerprint = r.GetU64();
-  if (!fingerprint.ok()) return fingerprint.status();
-  state.fingerprint = fingerprint.value();
-  auto workers = r.GetU32();
-  if (!workers.ok()) return workers.status();
-  HS_ASSIGN_OR_RETURN(state.worker_done, r.GetU64Vector());
-  HS_ASSIGN_OR_RETURN(state.worker_rng_digest, r.GetU64Vector());
-  if (state.worker_done.size() != workers.value() ||
-      state.worker_rng_digest.size() != workers.value())
-    return InvalidArgument("checkpoint worker vectors disagree on count");
-  HS_ASSIGN_OR_RETURN(std::vector<uint64_t> edges, r.GetU64Vector());
-  state.edges.insert(edges.begin(), edges.end());
-  auto noffers = r.GetU32();
-  if (!noffers.ok()) return noffers.status();
-  for (uint32_t i = 0; i < noffers.value(); ++i) {
-    DurableOffer offer;
-    auto worker = r.GetU32();
-    if (!worker.ok()) return worker.status();
-    offer.worker = worker.value();
-    HS_ASSIGN_OR_RETURN(offer.input, GetByteVector(&r));
+  HS_RETURN_IF_ERROR(
+      kCheckpointEnvelope.Open(bytes, [&](ByteReader& r) { Xfer(r, state); }));
+  for (const DurableOffer& offer : state.offers)
     state.seen_inputs.insert(offer.input);
-    state.offers.push_back(std::move(offer));
-  }
-  auto nfindings = r.GetU32();
-  if (!nfindings.ok()) return nfindings.status();
-  for (uint32_t i = 0; i < nfindings.value(); ++i) {
-    HS_ASSIGN_OR_RETURN(campaign::CampaignFinding f, GetFinding(&r));
-    state.findings.push_back(std::move(f));
-  }
-  HS_ASSIGN_OR_RETURN(state.store_blob, GetByteVector(&r));
-  auto nreports = r.GetU32();
-  if (!nreports.ok()) return nreports.status();
-  for (uint32_t i = 0; i < nreports.value(); ++i) {
-    auto worker = r.GetU32();
-    if (!worker.ok()) return worker.status();
-    HS_ASSIGN_OR_RETURN(symex::Report report, GetSymexReport(&r));
-    state.symex_reports.emplace(worker.value(), std::move(report));
-  }
-  if (r.remaining() != 4)  // exactly the CRC trailer must remain
-    return InvalidArgument("trailing bytes in checkpoint blob");
   return state;
 }
 
 std::vector<uint8_t> SerializeFuzzAckRecord(const FuzzBatchAck& ack) {
   ByteWriter w;
-  w.PutU8(kRecordFuzzAck);
-  w.PutU32(ack.worker);
-  w.PutU64(ack.done);
-  w.PutU64(ack.rng_digest);
-  w.PutU64Vector(ack.fresh_edges);
-  w.PutU32(static_cast<uint32_t>(ack.new_inputs.size()));
-  for (const auto& input : ack.new_inputs) PutByteVector(&w, input);
-  w.PutU32(static_cast<uint32_t>(ack.new_findings.size()));
-  for (const auto& finding : ack.new_findings) PutFinding(&w, finding);
+  w.U8(kRecordFuzzAck);
+  Xfer(w, ack);
   return w.Take();
 }
 
 std::vector<uint8_t> SerializeSymexReportRecord(uint32_t worker,
                                                 const symex::Report& report) {
   ByteWriter w;
-  w.PutU8(kRecordSymexReport);
-  w.PutU32(worker);
-  PutSymexReport(&w, report);
+  w.U8(kRecordSymexReport);
+  XferSymexRecord(w, worker, report);
   return w.Take();
 }
 
 Status ApplyRecord(const std::vector<uint8_t>& record,
                    CampaignDurableState* state) {
+  // The whole record decodes before anything folds, so a rejected record
+  // leaves `state` as it was.
   ByteReader r(record);
-  auto type = r.GetU8();
-  if (!type.ok()) return type.status();
-  switch (type.value()) {
-    case kRecordFuzzAck: {
-      auto worker = r.GetU32();
-      if (!worker.ok()) return worker.status();
-      if (worker.value() >= state->worker_done.size())
-        return InvalidArgument("journal record for out-of-range worker");
-      auto done = r.GetU64();
-      if (!done.ok()) return done.status();
-      auto rng = r.GetU64();
-      if (!rng.ok()) return rng.status();
-      HS_ASSIGN_OR_RETURN(std::vector<uint64_t> edges, r.GetU64Vector());
-      auto ninputs = r.GetU32();
-      if (!ninputs.ok()) return ninputs.status();
-      std::vector<std::vector<uint8_t>> inputs;
-      for (uint32_t i = 0; i < ninputs.value(); ++i) {
-        HS_ASSIGN_OR_RETURN(std::vector<uint8_t> input, GetByteVector(&r));
-        inputs.push_back(std::move(input));
-      }
-      auto nfindings = r.GetU32();
-      if (!nfindings.ok()) return nfindings.status();
-      std::vector<campaign::CampaignFinding> findings;
-      for (uint32_t i = 0; i < nfindings.value(); ++i) {
-        HS_ASSIGN_OR_RETURN(campaign::CampaignFinding f, GetFinding(&r));
-        findings.push_back(std::move(f));
-      }
-      if (!r.AtEnd()) return InvalidArgument("trailing bytes in ack record");
-      // Idempotent fold: progress is a max, findings merge by MergeFinding
-      // (the live SharedCorpus rule), everything else dedups.
-      if (done.value() >= state->worker_done[worker.value()]) {
-        state->worker_done[worker.value()] = done.value();
-        state->worker_rng_digest[worker.value()] = rng.value();
-      }
-      state->edges.insert(edges.begin(), edges.end());
-      for (auto& input : inputs)
-        if (state->seen_inputs.insert(input).second)
-          state->offers.push_back({worker.value(), std::move(input)});
-      for (auto& finding : findings)
-        campaign::MergeFinding(&state->findings, std::move(finding));
-      return Status::Ok();
-    }
-    case kRecordSymexReport: {
-      auto worker = r.GetU32();
-      if (!worker.ok()) return worker.status();
-      if (worker.value() >= state->worker_done.size())
-        return InvalidArgument("journal record for out-of-range worker");
-      HS_ASSIGN_OR_RETURN(symex::Report report, GetSymexReport(&r));
-      if (!r.AtEnd())
-        return InvalidArgument("trailing bytes in symex record");
-      state->symex_reports.emplace(worker.value(), std::move(report));
-      state->worker_done[worker.value()] = 1;  // completed marker
-      return Status::Ok();
-    }
-    default:
-      return InvalidArgument("unknown journal record type " +
-                             std::to_string(type.value()));
+  uint8_t type = 0;
+  r.U8In(type, kRecordFuzzAck, kRecordSymexReport,
+         "unknown journal record type");
+  HS_RETURN_IF_ERROR(r.status());
+  if (type == kRecordSymexReport) {
+    uint32_t worker = 0;
+    symex::Report report;
+    XferSymexRecord(r, worker, report);
+    HS_RETURN_IF_ERROR(r.Finish("symex record"));
+    HS_RETURN_IF_ERROR(CheckWorker(worker, *state));
+    state->symex_reports.emplace(worker, std::move(report));
+    state->worker_done[worker] = 1;  // completed marker
+    return Status::Ok();
   }
+  FuzzBatchAck ack;
+  Xfer(r, ack);
+  HS_RETURN_IF_ERROR(r.Finish("ack record"));
+  HS_RETURN_IF_ERROR(CheckWorker(ack.worker, *state));
+  // Idempotent fold: progress is a max, findings merge by MergeFinding
+  // (the live SharedCorpus rule), everything else dedups.
+  if (ack.done >= state->worker_done[ack.worker]) {
+    state->worker_done[ack.worker] = ack.done;
+    state->worker_rng_digest[ack.worker] = ack.rng_digest;
+  }
+  state->edges.insert(ack.fresh_edges.begin(), ack.fresh_edges.end());
+  for (auto& input : ack.new_inputs)
+    if (state->seen_inputs.insert(input).second)
+      state->offers.push_back({ack.worker, std::move(input)});
+  for (auto& finding : ack.new_findings)
+    campaign::MergeFinding(&state->findings, std::move(finding));
+  return Status::Ok();
 }
 
 }  // namespace hardsnap::persist

@@ -16,7 +16,9 @@
 //   u64vec edges | offers | findings | store blob | symex reports | crc32
 //
 // The journal (persist/journal.h) carries incremental records with the
-// same field encodings; ApplyRecord folds one into a CampaignDurableState
+// same field encodings: one Xfer field list per record (common/serde.h)
+// serves the checkpoint, the records and their decoding. ApplyRecord
+// decodes a whole record, then folds it into a CampaignDurableState
 // idempotently, so replaying a journal over a checkpoint that already
 // contains some of its records cannot double-count anything.
 #pragma once
@@ -91,12 +93,6 @@ std::vector<uint8_t> SerializeSymexReportRecord(uint32_t worker,
 // record meaningful for this campaign).
 Status ApplyRecord(const std::vector<uint8_t>& record,
                    CampaignDurableState* state);
-
-// Field-level serde shared by both layers (exposed for tests).
-void PutFinding(ByteWriter* w, const campaign::CampaignFinding& finding);
-Result<campaign::CampaignFinding> GetFinding(ByteReader* r);
-void PutSymexReport(ByteWriter* w, const symex::Report& report);
-Result<symex::Report> GetSymexReport(ByteReader* r);
 
 // FNV-1a accumulator for campaign option fingerprints: a resume against a
 // directory written under different options must fail loudly instead of

@@ -43,9 +43,9 @@ Status Journal::Append(const std::vector<uint8_t>& payload, bool sync) {
     return InvalidArgument("journal record exceeds the frame size limit");
   MaybeCrash("journal.append.before");
   ByteWriter frame;
-  frame.PutU32(static_cast<uint32_t>(payload.size()));
-  frame.PutU32(Crc32(payload.data(), payload.size()));
-  frame.PutBytes(payload.data(), payload.size());
+  frame.U32(static_cast<uint32_t>(payload.size()));
+  frame.U32(Crc32(payload.data(), payload.size()));
+  frame.Raw(payload.data(), payload.size());
   const std::vector<uint8_t>& bytes = frame.bytes();
   if (ShouldCrashAt("journal.append.torn")) {
     // Simulate a crash mid-write: half the frame reaches the disk. The

@@ -12,32 +12,93 @@ constexpr size_t kMmioOpWireBytes = 13;
 // Highest StatusCode value the wire may carry (common/status.h).
 constexpr uint8_t kMaxStatusCode = static_cast<uint8_t>(StatusCode::kDataLoss);
 
-Status WantAtEnd(const ByteReader& reader, const char* what) {
-  if (!reader.AtEnd())
-    return InvalidArgument(std::string(what) + ": " +
-                           std::to_string(reader.remaining()) +
-                           " trailing bytes");
-  return Status::Ok();
+template <class Io, RecordOf<Request> T>
+void Xfer(Io& io, T& req) {
+  switch (req.op) {
+    case Op::kHello:
+      io.U32(req.magic);
+      io.Require(req.magic == kProtocolMagic, "bad hello magic");
+      io.U8(req.version);
+      io.Str(req.client_name);
+      break;
+    case Op::kBatch:
+      io.List(req.ops, kMmioOpWireBytes, [](auto& io, auto& op) {
+        io.U8In(op.kind, bus::MmioOp::kRead, bus::MmioOp::kRun,
+                "bad MmioOp kind");
+        io.U32(op.addr);
+        io.U64(op.value);
+      });
+      break;
+    case Op::kSlotSave:
+    case Op::kSlotRestore:
+      io.U32(req.slot);
+      break;
+    case Op::kRestoreState:
+    case Op::kRestoreDelta:
+      io.Blob(req.blob);
+      break;
+    case Op::kReset:
+    case Op::kSaveState:
+    case Op::kStateHash:
+    case Op::kSaveDelta:
+    case Op::kStats:
+      break;  // no payload
+    default:
+      io.Check([&] {
+        return InvalidArgument("unknown request opcode " +
+                               std::to_string(static_cast<uint32_t>(req.op)));
+      });
+  }
 }
 
-// Length-prefixed raw byte blob. The declared length is validated against
-// the bytes present BEFORE the vector is sized — a forged length must
-// fail as malformed, not as a giant allocation.
-void PutBlob(ByteWriter* w, const std::vector<uint8_t>& blob) {
-  w->PutU32(static_cast<uint32_t>(blob.size()));
-  w->PutBytes(blob.data(), blob.size());
+template <class Io, RecordOf<HelloInfo> T>
+void Xfer(Io& io, T& info) {
+  io.Str(info.target_name);
+  io.U8(info.target_kind);
+  io.U32(info.capabilities);
+  io.U32(info.num_slots);
+  io.U8(info.state_format_version);
+  io.U64(info.shape_digest);
 }
 
-Result<std::vector<uint8_t>> GetBlob(ByteReader* r, const char* what) {
-  auto n = r->GetU32();
-  if (!n.ok()) return n.status();
-  if (r->remaining() < n.value())
-    return InvalidArgument(std::string(what) + " blob declares " +
-                           std::to_string(n.value()) + " bytes, " +
-                           std::to_string(r->remaining()) + " present");
-  std::vector<uint8_t> blob(n.value());
-  HS_RETURN_IF_ERROR(r->GetBytes(blob.data(), blob.size()));
-  return blob;
+template <class Io, RecordOf<Reply> T>
+void Xfer(Io& io, T& reply) {
+  io.U8In(reply.code, 0, kMaxStatusCode, "bad status code");
+  io.Str(reply.message);
+  io.U32(reply.irq_vector);
+  io.U64(reply.elapsed_ps);
+  io.U64(reply.run_ps);
+  io.U64(reply.value64);
+  io.List(reply.read_values, 4, [](auto& io, auto& v) { io.U32(v); });
+  io.Blob(reply.blob);
+}
+
+template <class Io, RecordOf<ServerStats> T>
+void Xfer(Io& io, T& stats) {
+  for (auto* field :
+       {&stats.sessions_accepted, &stats.sessions_refused,
+        &stats.sessions_closed, &stats.protocol_errors, &stats.rpcs,
+        &stats.batched_ops, &stats.bytes_received, &stats.bytes_sent,
+        &stats.rpc_wall_micros})
+    io.U64(*field);
+}
+
+template <class T>
+std::vector<uint8_t> Encode(const T& rec) {
+  ByteWriter w;
+  Xfer(w, rec);
+  return w.Take();
+}
+
+// A declared length the payload cannot hold is a malformed message
+// (kInvalidArgument), and the payload must end at its last field.
+template <class T>
+Result<T> Decode(const std::vector<uint8_t>& payload, const char* what,
+                 T rec = {}) {
+  ByteReader r(payload, StatusCode::kInvalidArgument);
+  Xfer(r, rec);
+  HS_RETURN_IF_ERROR(r.Finish(what));
+  return rec;
 }
 
 }  // namespace
@@ -59,193 +120,34 @@ const char* OpName(Op op) {
   return "unknown";
 }
 
-std::vector<uint8_t> EncodeRequest(const Request& req) {
-  ByteWriter w;
-  switch (req.op) {
-    case Op::kHello:
-      w.PutU32(req.magic);
-      w.PutU8(req.version);
-      w.PutString(req.client_name);
-      break;
-    case Op::kBatch:
-      w.PutU32(static_cast<uint32_t>(req.ops.size()));
-      for (const bus::MmioOp& op : req.ops) {
-        w.PutU8(op.kind);
-        w.PutU32(op.addr);
-        w.PutU64(op.value);
-      }
-      break;
-    case Op::kSlotSave:
-    case Op::kSlotRestore:
-      w.PutU32(req.slot);
-      break;
-    case Op::kRestoreState:
-    case Op::kRestoreDelta:
-      PutBlob(&w, req.blob);
-      break;
-    case Op::kReset:
-    case Op::kSaveState:
-    case Op::kStateHash:
-    case Op::kSaveDelta:
-    case Op::kStats:
-      break;  // no payload
-  }
-  return w.Take();
-}
+std::vector<uint8_t> EncodeRequest(const Request& req) { return Encode(req); }
 
 Result<Request> DecodeRequest(Op op, const std::vector<uint8_t>& payload) {
   Request req;
   req.op = op;
-  ByteReader r(payload);
-  switch (op) {
-    case Op::kHello: {
-      HS_ASSIGN_OR_RETURN(req.magic, r.GetU32());
-      HS_ASSIGN_OR_RETURN(req.version, r.GetU8());
-      HS_ASSIGN_OR_RETURN(req.client_name, r.GetString());
-      if (req.magic != kProtocolMagic)
-        return InvalidArgument("bad hello magic");
-      break;
-    }
-    case Op::kBatch: {
-      auto count = r.GetU32();
-      if (!count.ok()) return count.status();
-      if (r.remaining() < size_t{count.value()} * kMmioOpWireBytes)
-        return InvalidArgument(
-            "batch declares " + std::to_string(count.value()) + " ops, " +
-            std::to_string(r.remaining()) + " bytes present");
-      req.ops.reserve(count.value());
-      for (uint32_t i = 0; i < count.value(); ++i) {
-        bus::MmioOp op_i;
-        HS_ASSIGN_OR_RETURN(op_i.kind, r.GetU8());
-        HS_ASSIGN_OR_RETURN(op_i.addr, r.GetU32());
-        HS_ASSIGN_OR_RETURN(op_i.value, r.GetU64());
-        if (op_i.kind < bus::MmioOp::kRead || op_i.kind > bus::MmioOp::kRun)
-          return InvalidArgument("bad MmioOp kind " +
-                                 std::to_string(op_i.kind));
-        req.ops.push_back(op_i);
-      }
-      break;
-    }
-    case Op::kSlotSave:
-    case Op::kSlotRestore: {
-      HS_ASSIGN_OR_RETURN(req.slot, r.GetU32());
-      break;
-    }
-    case Op::kRestoreState:
-    case Op::kRestoreDelta: {
-      HS_ASSIGN_OR_RETURN(req.blob, GetBlob(&r, OpName(op)));
-      break;
-    }
-    case Op::kReset:
-    case Op::kSaveState:
-    case Op::kStateHash:
-    case Op::kSaveDelta:
-    case Op::kStats:
-      break;
-    default:
-      return InvalidArgument("unknown request opcode " +
-                             std::to_string(static_cast<uint32_t>(op)));
-  }
-  HS_RETURN_IF_ERROR(WantAtEnd(r, OpName(op)));
-  return req;
+  return Decode(payload, OpName(op), std::move(req));
 }
 
 std::vector<uint8_t> EncodeHelloInfo(const HelloInfo& info) {
-  ByteWriter w;
-  w.PutString(info.target_name);
-  w.PutU8(info.target_kind);
-  w.PutU32(info.capabilities);
-  w.PutU32(info.num_slots);
-  w.PutU8(info.state_format_version);
-  w.PutU64(info.shape_digest);
-  return w.Take();
+  return Encode(info);
 }
 
 Result<HelloInfo> DecodeHelloInfo(const std::vector<uint8_t>& payload) {
-  HelloInfo info;
-  ByteReader r(payload);
-  HS_ASSIGN_OR_RETURN(info.target_name, r.GetString());
-  HS_ASSIGN_OR_RETURN(info.target_kind, r.GetU8());
-  HS_ASSIGN_OR_RETURN(info.capabilities, r.GetU32());
-  HS_ASSIGN_OR_RETURN(info.num_slots, r.GetU32());
-  HS_ASSIGN_OR_RETURN(info.state_format_version, r.GetU8());
-  HS_ASSIGN_OR_RETURN(info.shape_digest, r.GetU64());
-  HS_RETURN_IF_ERROR(WantAtEnd(r, "hello-info"));
-  return info;
+  return Decode<HelloInfo>(payload, "hello-info");
 }
 
-std::vector<uint8_t> EncodeReply(const Reply& reply) {
-  ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(reply.code));
-  w.PutString(reply.message);
-  w.PutU32(reply.irq_vector);
-  w.PutU64(reply.elapsed_ps);
-  w.PutU64(reply.run_ps);
-  w.PutU64(reply.value64);
-  w.PutU32(static_cast<uint32_t>(reply.read_values.size()));
-  for (uint32_t v : reply.read_values) w.PutU32(v);
-  PutBlob(&w, reply.blob);
-  return w.Take();
-}
+std::vector<uint8_t> EncodeReply(const Reply& reply) { return Encode(reply); }
 
 Result<Reply> DecodeReply(const std::vector<uint8_t>& payload) {
-  Reply reply;
-  ByteReader r(payload);
-  auto code = r.GetU8();
-  if (!code.ok()) return code.status();
-  if (code.value() > kMaxStatusCode)
-    return InvalidArgument("bad status code " + std::to_string(code.value()));
-  reply.code = static_cast<StatusCode>(code.value());
-  HS_ASSIGN_OR_RETURN(reply.message, r.GetString());
-  HS_ASSIGN_OR_RETURN(reply.irq_vector, r.GetU32());
-  HS_ASSIGN_OR_RETURN(reply.elapsed_ps, r.GetU64());
-  HS_ASSIGN_OR_RETURN(reply.run_ps, r.GetU64());
-  HS_ASSIGN_OR_RETURN(reply.value64, r.GetU64());
-  auto count = r.GetU32();
-  if (!count.ok()) return count.status();
-  if (r.remaining() < size_t{count.value()} * 4)
-    return InvalidArgument("reply declares " + std::to_string(count.value()) +
-                           " read values, " + std::to_string(r.remaining()) +
-                           " bytes present");
-  reply.read_values.reserve(count.value());
-  for (uint32_t i = 0; i < count.value(); ++i) {
-    auto v = r.GetU32();
-    if (!v.ok()) return v.status();
-    reply.read_values.push_back(v.value());
-  }
-  HS_ASSIGN_OR_RETURN(reply.blob, GetBlob(&r, "reply"));
-  HS_RETURN_IF_ERROR(WantAtEnd(r, "reply"));
-  return reply;
+  return Decode<Reply>(payload, "reply");
 }
 
 std::vector<uint8_t> EncodeServerStats(const ServerStats& stats) {
-  ByteWriter w;
-  w.PutU64(stats.sessions_accepted);
-  w.PutU64(stats.sessions_refused);
-  w.PutU64(stats.sessions_closed);
-  w.PutU64(stats.protocol_errors);
-  w.PutU64(stats.rpcs);
-  w.PutU64(stats.batched_ops);
-  w.PutU64(stats.bytes_received);
-  w.PutU64(stats.bytes_sent);
-  w.PutU64(stats.rpc_wall_micros);
-  return w.Take();
+  return Encode(stats);
 }
 
 Result<ServerStats> DecodeServerStats(const std::vector<uint8_t>& payload) {
-  ServerStats stats;
-  ByteReader r(payload);
-  HS_ASSIGN_OR_RETURN(stats.sessions_accepted, r.GetU64());
-  HS_ASSIGN_OR_RETURN(stats.sessions_refused, r.GetU64());
-  HS_ASSIGN_OR_RETURN(stats.sessions_closed, r.GetU64());
-  HS_ASSIGN_OR_RETURN(stats.protocol_errors, r.GetU64());
-  HS_ASSIGN_OR_RETURN(stats.rpcs, r.GetU64());
-  HS_ASSIGN_OR_RETURN(stats.batched_ops, r.GetU64());
-  HS_ASSIGN_OR_RETURN(stats.bytes_received, r.GetU64());
-  HS_ASSIGN_OR_RETURN(stats.bytes_sent, r.GetU64());
-  HS_ASSIGN_OR_RETURN(stats.rpc_wall_micros, r.GetU64());
-  HS_RETURN_IF_ERROR(WantAtEnd(r, "server-stats"));
-  return stats;
+  return Decode<ServerStats>(payload, "server-stats");
 }
 
 }  // namespace hardsnap::remote

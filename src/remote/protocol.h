@@ -14,11 +14,13 @@
 // advances in response to client operations, so the mirror is exact
 // between RPCs.
 //
-// Decoding is defensive (the serde_robustness tests fuzz it): every
-// declared length is validated against the bytes actually present before
-// anything is allocated, unknown enum values are rejected, and trailing
-// bytes fail the decode. A malformed request must never crash the server
-// or oversize an allocation — the session is closed with a logged error.
+// Each payload's fields are listed once, in an Xfer template that both
+// directions run (common/serde.h). Decoding is defensive (the
+// serde_robustness tests fuzz it): every declared length is validated
+// against the bytes actually present before anything is allocated, unknown
+// enum values are rejected, and trailing bytes fail the decode. A malformed
+// request must never crash the server or oversize an allocation — the
+// session is closed with a logged error.
 #pragma once
 
 #include <cstdint>

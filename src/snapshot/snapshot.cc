@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/crc32.h"
 #include "common/fnv.h"
 
 namespace hardsnap::snapshot {
@@ -12,23 +11,68 @@ using sim::NumChunks;
 
 namespace {
 
-// End-to-end integrity: every serialized blob carries a trailing CRC32
-// over everything before it. Computed once at serialization, verified
-// FIRST at deserialization — a bit flipped anywhere in transit (lossy
-// link, bad storage) fails as kDataLoss before any field is trusted.
-void AppendCrc(ByteWriter* w) {
-  w->PutU32(Crc32(w->bytes().data(), w->bytes().size()));
+// Every blob is sealed in the shared envelope: a bit flipped anywhere in
+// transit (lossy link, bad storage) fails as kDataLoss before any field is
+// trusted, and a future layout fails as kInvalidArgument.
+constexpr Envelope kStateEnvelope{0x48535353, kStateFormatVersion,
+                                  "state blob"};  // "HSSS"
+constexpr Envelope kDeltaEnvelope{0x48535344, kStateFormatVersion,
+                                  "delta blob"};  // "HSSD"
+constexpr Envelope kStoreEnvelope{0x48535354, kStateFormatVersion,
+                                  "store blob"};  // "HSST"
+
+template <class Io, RecordOf<sim::HardwareState> T>
+void Xfer(Io& io, T& st) {
+  io.U64s(st.flops);
+  io.List(st.memories, 4, [](auto& io, auto& mem) { io.U64s(mem); });
 }
 
-Status VerifyCrc(const std::vector<uint8_t>& bytes, const char* what) {
-  if (bytes.size() < 4)
-    return DataLoss(std::string(what) + ": too short for a CRC trailer");
-  const size_t body = bytes.size() - 4;
-  uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) stored |= uint32_t{bytes[body + i]} << (8 * i);
-  if (stored != Crc32(bytes.data(), body))
-    return DataLoss(std::string(what) + ": CRC mismatch (corrupt blob)");
-  return Status::Ok();
+template <class Io, RecordOf<sim::StateDelta> T>
+void Xfer(Io& io, T& d) {
+  io.U64(d.base_hash);
+  uint32_t chunk_words = kChunkWords;
+  io.U32(chunk_words);
+  io.Require(chunk_words == kChunkWords, "delta blob chunk size mismatch");
+  io.U32(d.shape.num_flops);
+  io.List(d.shape.mem_depths, 4, [](auto& io, auto& depth) { io.U32(depth); });
+  io.List(d.chunks, 12, [&](auto& io, auto& c) {
+    io.U32(c.space);
+    io.U32(c.index);
+    io.U64s(c.words);
+    // Chunk geometry against the declared shape, so a corrupt blob fails
+    // here rather than scribbling on a target later.
+    io.Check([&] { return d.shape.Check(c); });
+  });
+}
+
+// The HSST body: the store's shape digest and id counter, then every
+// snapshot in id order, each an HSSS blob or an HSSD delta against the
+// entry before it.
+struct StoreImage {
+  static constexpr uint8_t kFull = 0;
+  static constexpr uint8_t kDelta = 1;
+  struct Entry {
+    SnapshotId id = kNoSnapshot;
+    std::string label;
+    uint8_t encoding = kFull;
+    std::vector<uint8_t> blob;
+  };
+  uint64_t shape = 0;
+  uint64_t next_id = 0;
+  std::vector<Entry> entries;
+};
+
+template <class Io, RecordOf<StoreImage> T>
+void Xfer(Io& io, T& img) {
+  io.U64(img.shape);
+  io.U64(img.next_id);
+  io.List(img.entries, 17, [](auto& io, auto& e) {
+    io.U64(e.id);
+    io.Str(e.label);
+    io.U8In(e.encoding, StoreImage::kFull, StoreImage::kDelta,
+            "store blob: unknown snapshot encoding");
+    io.Blob(e.blob);
+  });
 }
 
 }  // namespace
@@ -46,30 +90,8 @@ uint64_t StateShapeDigest(const rtl::Design& design) {
   return h.digest();
 }
 
-namespace {
-
-// Shared version-byte check for the HSSS/HSSD/HSST containers.
-Status CheckFormatVersion(ByteReader* r, const char* what) {
-  auto version = r->GetU8();
-  if (!version.ok()) return version.status();
-  if (version.value() != kStateFormatVersion)
-    return InvalidArgument(std::string(what) + ": unsupported format version " +
-                           std::to_string(version.value()) + " (expected " +
-                           std::to_string(kStateFormatVersion) + ")");
-  return Status::Ok();
-}
-
-}  // namespace
-
 std::vector<uint8_t> SerializeState(const sim::HardwareState& state) {
-  ByteWriter w;
-  w.PutU32(0x48535353);  // "HSSS"
-  w.PutU8(kStateFormatVersion);
-  w.PutU64Vector(state.flops);
-  w.PutU32(static_cast<uint32_t>(state.memories.size()));
-  for (const auto& mem : state.memories) w.PutU64Vector(mem);
-  AppendCrc(&w);
-  return w.Take();
+  return kStateEnvelope.Seal([&](ByteWriter& w) { Xfer(w, state); });
 }
 
 size_t SerializedStateBytes(const sim::HardwareState& state) {
@@ -80,98 +102,21 @@ size_t SerializedStateBytes(const sim::HardwareState& state) {
 
 Result<sim::HardwareState> DeserializeState(
     const std::vector<uint8_t>& bytes) {
-  HS_RETURN_IF_ERROR(VerifyCrc(bytes, "state blob"));
-  ByteReader r(bytes);
-  auto magic = r.GetU32();
-  if (!magic.ok()) return magic.status();
-  if (magic.value() != 0x48535353)
-    return InvalidArgument("not a HardSnap state blob");
-  HS_RETURN_IF_ERROR(CheckFormatVersion(&r, "state blob"));
   sim::HardwareState st;
-  auto flops = r.GetU64Vector();
-  if (!flops.ok()) return flops.status();
-  st.flops = std::move(flops).value();
-  auto nmem = r.GetU32();
-  if (!nmem.ok()) return nmem.status();
-  st.memories.reserve(nmem.value());
-  for (uint32_t i = 0; i < nmem.value(); ++i) {
-    auto mem = r.GetU64Vector();
-    if (!mem.ok()) return mem.status();
-    st.memories.push_back(std::move(mem).value());
-  }
-  if (r.remaining() != 4)  // exactly the CRC trailer must remain
-    return InvalidArgument("trailing bytes in state blob");
+  HS_RETURN_IF_ERROR(
+      kStateEnvelope.Open(bytes, [&](ByteReader& r) { Xfer(r, st); }));
   return st;
 }
 
 std::vector<uint8_t> SerializeStateDelta(const sim::StateDelta& delta) {
-  ByteWriter w;
-  w.PutU32(0x48535344);  // "HSSD"
-  w.PutU8(kStateFormatVersion);
-  w.PutU64(delta.base_hash);
-  w.PutU32(kChunkWords);
-  w.PutU32(delta.shape.num_flops);
-  w.PutU32(static_cast<uint32_t>(delta.shape.mem_depths.size()));
-  for (uint32_t d : delta.shape.mem_depths) w.PutU32(d);
-  w.PutU32(static_cast<uint32_t>(delta.chunks.size()));
-  for (const auto& c : delta.chunks) {
-    w.PutU32(c.space);
-    w.PutU32(c.index);
-    w.PutU64Vector(c.words);
-  }
-  AppendCrc(&w);
-  return w.Take();
+  return kDeltaEnvelope.Seal([&](ByteWriter& w) { Xfer(w, delta); });
 }
 
 Result<sim::StateDelta> DeserializeStateDelta(
     const std::vector<uint8_t>& bytes) {
-  HS_RETURN_IF_ERROR(VerifyCrc(bytes, "delta blob"));
-  ByteReader r(bytes);
-  auto magic = r.GetU32();
-  if (!magic.ok()) return magic.status();
-  if (magic.value() != 0x48535344)
-    return InvalidArgument("not a HardSnap delta blob");
-  HS_RETURN_IF_ERROR(CheckFormatVersion(&r, "delta blob"));
   sim::StateDelta d;
-  auto base = r.GetU64();
-  if (!base.ok()) return base.status();
-  d.base_hash = base.value();
-  auto cw = r.GetU32();
-  if (!cw.ok()) return cw.status();
-  if (cw.value() != kChunkWords)
-    return InvalidArgument("delta blob chunk size mismatch");
-  auto nf = r.GetU32();
-  if (!nf.ok()) return nf.status();
-  d.shape.num_flops = nf.value();
-  auto nmem = r.GetU32();
-  if (!nmem.ok()) return nmem.status();
-  d.shape.mem_depths.reserve(nmem.value());
-  for (uint32_t i = 0; i < nmem.value(); ++i) {
-    auto depth = r.GetU32();
-    if (!depth.ok()) return depth.status();
-    d.shape.mem_depths.push_back(depth.value());
-  }
-  auto nchunks = r.GetU32();
-  if (!nchunks.ok()) return nchunks.status();
-  d.chunks.reserve(nchunks.value());
-  for (uint32_t i = 0; i < nchunks.value(); ++i) {
-    sim::DeltaChunk c;
-    auto space = r.GetU32();
-    if (!space.ok()) return space.status();
-    c.space = space.value();
-    auto index = r.GetU32();
-    if (!index.ok()) return index.status();
-    c.index = index.value();
-    auto words = r.GetU64Vector();
-    if (!words.ok()) return words.status();
-    c.words = std::move(words).value();
-    // Validate chunk geometry against the declared shape so a corrupt
-    // blob fails here rather than scribbling on a target later.
-    HS_RETURN_IF_ERROR(d.shape.Check(c));
-    d.chunks.push_back(std::move(c));
-  }
-  if (r.remaining() != 4)  // exactly the CRC trailer must remain
-    return InvalidArgument("trailing bytes in delta blob");
+  HS_RETURN_IF_ERROR(
+      kDeltaEnvelope.Open(bytes, [&](ByteReader& r) { Xfer(r, d); }));
   return d;
 }
 
@@ -313,9 +258,9 @@ Result<SnapshotId> SnapshotStore::PutDelta(SnapshotId base,
   if (it == snapshots_.end())
     return NotFound("base snapshot " + std::to_string(base) +
                     " does not exist");
-  const SnapshotId id = next_id_++;
   Stored s;
   HS_RETURN_IF_ERROR(ApplyDelta(it->second, delta, std::move(label), &s));
+  const SnapshotId id = next_id_++;  // a rejected delta takes no id
   HS_RETURN_IF_ERROR(InstallLocked(id, std::move(s), "PutDelta"));
   return id;
 }
@@ -395,6 +340,10 @@ size_t SnapshotStore::ResidentBytes() const {
 
 std::vector<SnapshotId> SnapshotStore::Ids() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return IdsLocked();
+}
+
+std::vector<SnapshotId> SnapshotStore::IdsLocked() const {
   std::vector<SnapshotId> ids;
   ids.reserve(snapshots_.size());
   for (const auto& [id, s] : snapshots_) ids.push_back(id);
@@ -404,41 +353,23 @@ std::vector<SnapshotId> SnapshotStore::Ids() const {
 
 Result<std::vector<uint8_t>> SnapshotStore::Serialize() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SnapshotId> ids;
-  ids.reserve(snapshots_.size());
-  for (const auto& [id, s] : snapshots_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-
-  ByteWriter w;
-  w.PutU32(0x48535354);  // "HSST"
-  w.PutU8(kStateFormatVersion);
-  w.PutU64(shape_);
-  w.PutU64(next_id_);
-  w.PutU32(static_cast<uint32_t>(ids.size()));
+  StoreImage img{shape_, next_id_, {}};
   const Stored* prev = nullptr;
-  for (SnapshotId id : ids) {
+  for (SnapshotId id : IdsLocked()) {
     const Stored& s = snapshots_.at(id);
-    w.PutU64(id);
-    w.PutString(s.label);
     // Delta against the previous snapshot when shapes allow; the first
     // snapshot (and any shape change) ships full. The delta's base_hash
     // chains each snapshot to its predecessor, so a corrupt link fails at
     // Restore instead of silently reconstructing the wrong content.
-    if (prev != nullptr && prev->shape == s.shape) {
-      w.PutU8(1);
-      std::vector<uint8_t> blob = SerializeStateDelta(DiffLocked(*prev, s));
-      w.PutU32(static_cast<uint32_t>(blob.size()));
-      w.PutBytes(blob.data(), blob.size());
-    } else {
-      w.PutU8(0);
-      std::vector<uint8_t> blob = SerializeState(Assemble(s));
-      w.PutU32(static_cast<uint32_t>(blob.size()));
-      w.PutBytes(blob.data(), blob.size());
-    }
+    if (prev != nullptr && prev->shape == s.shape)
+      img.entries.push_back({id, s.label, StoreImage::kDelta,
+                             SerializeStateDelta(DiffLocked(*prev, s))});
+    else
+      img.entries.push_back(
+          {id, s.label, StoreImage::kFull, SerializeState(Assemble(s))});
     prev = &s;
   }
-  AppendCrc(&w);
-  return w.Take();
+  return kStoreEnvelope.Seal([&](ByteWriter& w) { Xfer(w, img); });
 }
 
 Status SnapshotStore::Restore(const std::vector<uint8_t>& bytes) {
@@ -448,71 +379,38 @@ Status SnapshotStore::Restore(const std::vector<uint8_t>& bytes) {
   total_bytes_ = 0;
 
   Status st = [&]() -> Status {
-    HS_RETURN_IF_ERROR(VerifyCrc(bytes, "store blob"));
-  ByteReader r(bytes);
-  auto magic = r.GetU32();
-  if (!magic.ok()) return magic.status();
-  if (magic.value() != 0x48535354)
-    return InvalidArgument("not a HardSnap store blob");
-  HS_RETURN_IF_ERROR(CheckFormatVersion(&r, "store blob"));
-  auto shape = r.GetU64();
-  if (!shape.ok()) return shape.status();
-  // A store bound to a concrete design (nonzero digest) must not ingest
-  // snapshots captured from a different one; digest 0 means "unspecified"
-  // and adopts the blob's shape (the persistence layer's stores).
-  if (shape_ != 0 && shape.value() != 0 && shape.value() != shape_)
-    return InvalidArgument("store blob: shape digest mismatch");
-  auto next_id = r.GetU64();
-  if (!next_id.ok()) return next_id.status();
-  auto count = r.GetU32();
-  if (!count.ok()) return count.status();
-
-  shape_ = shape.value();
-  sim::HardwareState prev_state;
-  bool have_prev = false;
-  SnapshotId max_id = 0;
-  for (uint32_t i = 0; i < count.value(); ++i) {
-    auto id = r.GetU64();
-    if (!id.ok()) return id.status();
-    auto label = r.GetString();
-    if (!label.ok()) return label.status();
-    auto encoding = r.GetU8();
-    if (!encoding.ok()) return encoding.status();
-    auto blob_len = r.GetU32();
-    if (!blob_len.ok()) return blob_len.status();
-    if (r.remaining() < blob_len.value())
-      return OutOfRange("store blob: snapshot payload truncated");
-    std::vector<uint8_t> blob(blob_len.value());
-    HS_RETURN_IF_ERROR(r.GetBytes(blob.data(), blob.size()));
-
-    sim::HardwareState state;
-    if (encoding.value() == 0) {
-      HS_ASSIGN_OR_RETURN(state, DeserializeState(blob));
-    } else if (encoding.value() == 1) {
-      if (!have_prev)
-        return InvalidArgument("store blob: delta with no predecessor");
-      HS_ASSIGN_OR_RETURN(sim::StateDelta delta, DeserializeStateDelta(blob));
-      state = prev_state;
-      HS_RETURN_IF_ERROR(sim::ApplyDeltaToState(&state, delta));
-    } else {
-      return InvalidArgument("store blob: unknown snapshot encoding");
+    StoreImage img;
+    HS_RETURN_IF_ERROR(
+        kStoreEnvelope.Open(bytes, [&](ByteReader& r) { Xfer(r, img); }));
+    // A store bound to a concrete design (nonzero digest) must not ingest
+    // snapshots captured from a different one; digest 0 means "unspecified"
+    // and adopts the blob's shape (the persistence layer's stores).
+    if (shape_ != 0 && img.shape != 0 && img.shape != shape_)
+      return InvalidArgument("store blob: shape digest mismatch");
+    shape_ = img.shape;
+    sim::HardwareState state;  // the previous entry's, which a delta patches
+    SnapshotId max_id = 0;
+    for (StoreImage::Entry& e : img.entries) {
+      if (e.encoding == StoreImage::kFull) {
+        HS_ASSIGN_OR_RETURN(state, DeserializeState(e.blob));
+      } else {
+        if (&e == &img.entries.front())
+          return InvalidArgument("store blob: delta with no predecessor");
+        HS_ASSIGN_OR_RETURN(sim::StateDelta delta,
+                            DeserializeStateDelta(e.blob));
+        HS_RETURN_IF_ERROR(sim::ApplyDeltaToState(&state, delta));
+      }
+      if (snapshots_.count(e.id))
+        return InvalidArgument("store blob: duplicate snapshot id");
+      Stored s = MakeStored(state, std::move(e.label));
+      total_bytes_ += s.logical_words * 8;
+      snapshots_.emplace(e.id, std::move(s));
+      max_id = std::max(max_id, e.id);
     }
-
-    if (snapshots_.count(id.value()))
-      return InvalidArgument("store blob: duplicate snapshot id");
-    Stored s = MakeStored(state, std::move(label).value());
-    total_bytes_ += s.logical_words * 8;
-    snapshots_.emplace(id.value(), std::move(s));
-    max_id = std::max(max_id, id.value());
-    prev_state = std::move(state);
-    have_prev = true;
-  }
-  if (r.remaining() != 4)
-    return InvalidArgument("trailing bytes in store blob");
-  if (next_id.value() <= max_id && count.value() > 0)
-    return InvalidArgument("store blob: id counter behind live snapshots");
-  next_id_ = std::max<SnapshotId>(next_id.value(), 1);
-  return Status::Ok();
+    if (img.next_id <= max_id && !img.entries.empty())
+      return InvalidArgument("store blob: id counter behind live snapshots");
+    next_id_ = std::max<SnapshotId>(img.next_id, 1);
+    return Status::Ok();
   }();
 
   if (!st.ok()) {  // never leave a half-loaded store behind

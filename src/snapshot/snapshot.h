@@ -198,6 +198,7 @@ class SnapshotStore {
   // DeltaBetween's body without the lock (Serialize runs under it).
   sim::StateDelta DiffLocked(const Stored& b, const Stored& n) const;
   size_t ResidentBytesLocked() const;
+  std::vector<SnapshotId> IdsLocked() const;
 
   // Serializes all public operations (private helpers run under it).
   mutable std::mutex mu_;

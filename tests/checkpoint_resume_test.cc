@@ -14,9 +14,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "campaign/campaign.h"
@@ -25,6 +25,7 @@
 #include "firmware/corpus.h"
 #include "periph/periph.h"
 #include "persist/crash_point.h"
+#include "progress_trigger.h"
 #include "rtl/elaborate.h"
 #include "vm/assembler.h"
 #include "vm/memmap.h"
@@ -248,6 +249,11 @@ TEST(ResumeEquivalenceTest, ResumeSurvivesLinkFaults) {
             FindingKeys(fresh.value().findings));
 }
 
+// Worker 0's Run calls before the stop request. Its 800 execs of the
+// 1,600-exec campaign make about 56,000 Runs, so the stop lands early in
+// the campaign, whatever the speed of the host or the build.
+constexpr uint64_t kRunsBeforeStop = 10000;
+
 TEST(ResumeEquivalenceTest, ExternalStopDrainsDurablyThenResumes) {
   // The CLI's SIGINT path: external_stop set mid-campaign makes workers
   // finish their current batch and the campaign flush a final
@@ -261,28 +267,32 @@ TEST(ResumeEquivalenceTest, ExternalStopDrainsDurablyThenResumes) {
   auto opts = PersistedOptions(dir.path(), 2, 1600);
   std::atomic<bool> stop{false};
   opts.external_stop = &stop;
-  std::thread stopper([&stop] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    stop.store(true);
-  });
+  // The stop comes at a fixed point of worker 0's work, not after a sleep
+  // that a fast enough campaign outruns.
+  progress::Tripwire wire;
+  wire.at = kRunsBeforeStop;
+  wire.action = [&stop] { stop.store(true); };
+  opts.target_factory = progress::WithTripwire(
+      [](unsigned, uint64_t) -> Result<std::unique_ptr<bus::HardwareTarget>> {
+        auto t = bus::SimulatorTarget::Create(Soc());
+        if (!t.ok()) return t.status();
+        return std::unique_ptr<bus::HardwareTarget>(std::move(t).value());
+      },
+      &wire);
   auto interrupted = RunOnce(opts);
-  stopper.join();
   ASSERT_TRUE(interrupted.ok()) << interrupted.status().ToString();
+  ASSERT_TRUE(wire.fired);
+  ASSERT_TRUE(interrupted.value().interrupted);
+  EXPECT_LT(interrupted.value().execs, 1600u);
 
-  if (interrupted.value().interrupted) {
-    EXPECT_LT(interrupted.value().execs, 1600u);
-    opts.external_stop = nullptr;
-    auto resumed = RunOnce(opts);
-    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    EXPECT_TRUE(resumed.value().resumed);
-    EXPECT_EQ(resumed.value().execs, 1600u);
-    EXPECT_EQ(FindingKeys(resumed.value().findings),
-              FindingKeys(fresh.value().findings));
-  } else {
-    // The campaign beat the stopper; it must then equal the fresh run.
-    EXPECT_EQ(FindingKeys(interrupted.value().findings),
-              FindingKeys(fresh.value().findings));
-  }
+  opts.external_stop = nullptr;
+  opts.target_factory = nullptr;
+  auto resumed = RunOnce(opts);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed.value().resumed);
+  EXPECT_EQ(resumed.value().execs, 1600u);
+  EXPECT_EQ(FindingKeys(resumed.value().findings),
+            FindingKeys(fresh.value().findings));
 }
 
 TEST(ResumeEquivalenceTest, ResumeWithDifferentFirmwareFailsLoudly) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/bitops.h"
 #include "common/rng.h"
@@ -198,38 +201,137 @@ TEST(VirtualClockTest, PeriodOfHz) {
 
 TEST(SerdeTest, RoundTripScalars) {
   ByteWriter w;
-  w.PutU8(0xab);
-  w.PutU32(0xdeadbeef);
-  w.PutU64(0x0123456789abcdefull);
-  w.PutString("hello");
+  w.U8(0xab);
+  w.U32(0xdeadbeef);
+  w.U64(0x0123456789abcdefull);
+  w.Str("hello");
   ByteReader r(w.bytes());
-  EXPECT_EQ(r.GetU8().value(), 0xab);
-  EXPECT_EQ(r.GetU32().value(), 0xdeadbeefu);
-  EXPECT_EQ(r.GetU64().value(), 0x0123456789abcdefull);
-  EXPECT_EQ(r.GetString().value(), "hello");
-  EXPECT_TRUE(r.AtEnd());
+  uint8_t u8 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  std::string s;
+  r.U8(u8);
+  r.U32(u32);
+  r.U64(u64);
+  r.Str(s);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(u8, 0xab);
+  EXPECT_EQ(u32, 0xdeadbeefu);
+  EXPECT_EQ(u64, 0x0123456789abcdefull);
+  EXPECT_EQ(s, "hello");
+  EXPECT_EQ(r.remaining(), 0u);
 }
 
 TEST(SerdeTest, RoundTripVector) {
   ByteWriter w;
   std::vector<uint64_t> v = {1, 2, 3, ~uint64_t{0}};
-  w.PutU64Vector(v);
+  w.U64s(v);
   ByteReader r(w.bytes());
-  EXPECT_EQ(r.GetU64Vector().value(), v);
+  std::vector<uint64_t> back;
+  r.U64s(back);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(back, v);
 }
 
 TEST(SerdeTest, TruncatedReadFails) {
   ByteWriter w;
-  w.PutU8(1);
+  w.U8(1);
   ByteReader r(w.bytes());
-  EXPECT_TRUE(r.GetU32().status().code() == StatusCode::kOutOfRange);
+  uint32_t v = 0;
+  r.U32(v);
+  EXPECT_TRUE(r.status().code() == StatusCode::kOutOfRange);
 }
 
 TEST(SerdeTest, TruncatedStringBodyFails) {
   ByteWriter w;
-  w.PutU32(100);  // claims 100 bytes, none present
+  w.U32(100);  // claims 100 bytes, none present
   ByteReader r(w.bytes());
-  EXPECT_FALSE(r.GetString().ok());
+  std::string s;
+  r.Str(s);
+  EXPECT_FALSE(r.ok());
+}
+
+// The first error sticks: later reads are no-ops that keep it.
+TEST(SerdeTest, ReaderKeepsItsFirstError) {
+  ByteWriter w;
+  w.U8(7);
+  ByteReader r(w.bytes());
+  uint64_t big = 5;
+  r.U64(big);  // too short: fails, leaves `big` alone
+  uint8_t small = 0;
+  r.U8(small);  // a no-op now, even though one byte is there
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(big, 5u);
+  EXPECT_EQ(small, 0);
+  EXPECT_EQ(r.remaining(), 1u);
+  r.Require(false, "ignored: the first error stays");
+  EXPECT_EQ(r.Finish("record").code(), StatusCode::kOutOfRange);
+}
+
+TEST(SerdeTest, FinishRejectsTrailingBytes) {
+  ByteWriter w;
+  w.U32(1);
+  w.U8(0);
+  ByteReader r(w.bytes());
+  uint32_t v = 0;
+  r.U32(v);
+  EXPECT_EQ(r.Finish("record").code(), StatusCode::kInvalidArgument);
+}
+
+// One field list, run by both directions.
+struct Pair {
+  uint32_t a = 0;
+  std::map<std::string, uint64_t> names;
+};
+
+template <class Io, RecordOf<Pair> T>
+void Xfer(Io& io, T& p) {
+  io.U32(p.a);
+  io.Require(p.a != 0, "a must be nonzero");
+  io.List(p.names, 12, [](auto& io, auto& kv) {
+    io.Str(kv.first);
+    io.U64(kv.second);
+  });
+}
+
+TEST(SerdeTest, XferRoundTripsAndValidatesOnlyOnRead) {
+  Pair p{3, {{"x", 1}, {"yy", 2}}};
+  ByteWriter w;
+  Xfer(w, std::as_const(p));
+  Pair back;
+  ByteReader r(w.bytes());
+  Xfer(r, back);
+  ASSERT_TRUE(r.Finish("pair").ok());
+  EXPECT_EQ(back.a, 3u);
+  EXPECT_EQ(back.names, p.names);
+
+  const Pair empty;
+  ByteWriter zero;  // the writer does not validate; the reader does
+  Xfer(zero, empty);
+  Pair rejected;
+  ByteReader rz(zero.bytes());
+  Xfer(rz, rejected);
+  EXPECT_EQ(rz.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SerdeTest, EnvelopeChecksCrcBeforeMagicAndVersion) {
+  const Envelope env{0x54534554, 1, "test blob"};
+  auto bytes = env.Seal([](ByteWriter& w) { w.U32(42); });
+  uint32_t v = 0;
+  ASSERT_TRUE(env.Open(bytes, [&](ByteReader& r) { r.U32(v); }).ok());
+  EXPECT_EQ(v, 42u);
+  auto body = [](ByteReader& r) {
+    uint32_t x = 0;
+    r.U32(x);
+  };
+  auto corrupt = bytes;
+  corrupt[0] ^= 1;  // the magic, but the CRC catches it first
+  EXPECT_EQ(env.Open(corrupt, body).code(), StatusCode::kDataLoss);
+  const Envelope next{0x54534554, 2, "test blob"};
+  EXPECT_EQ(next.Open(bytes, body).code(), StatusCode::kInvalidArgument);
+  const Envelope other{0x4f544852, 1, "other blob"};
+  EXPECT_EQ(other.Open(bytes, body).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(env.Open({1, 2}, body).code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

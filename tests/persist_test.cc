@@ -6,7 +6,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.h"
@@ -181,8 +183,8 @@ TEST(JournalTest, CorruptPayloadByteMakesRecordTailGarbage) {
 TEST(JournalTest, ForgedHugeLengthIsTailGarbageNotAllocation) {
   ScratchDir dir;
   ByteWriter w;
-  w.PutU32(0xfffffff0u);  // forged length far past kMaxJournalRecordBytes
-  w.PutU32(0);            // crc (never checked: length is rejected first)
+  w.U32(0xfffffff0u);  // forged length far past kMaxJournalRecordBytes
+  w.U32(0);            // crc (never checked: length is rejected first)
   ASSERT_TRUE(AtomicWriteFile(dir.file("j.wal"), w.Take()).ok());
   auto replay = Journal(dir.file("j.wal")).Replay();
   ASSERT_TRUE(replay.ok());
@@ -410,6 +412,65 @@ TEST(ApplyRecordTest, GarbageRecordIsRejected) {
   auto st = EmptyState(1);
   EXPECT_FALSE(ApplyRecord(Bytes({0xff, 0x00, 0x12}), &st).ok());
   EXPECT_FALSE(ApplyRecord(Bytes({}), &st).ok());
+}
+
+symex::Report SampleReport() {
+  symex::Report rep;
+  rep.paths_completed = 3;
+  symex::Bug bug;
+  bug.pc = 0x40;
+  bug.kind = "ebreak";
+  bug.test_case.origin = "bug: ebreak";
+  bug.test_case.inputs["a0"] = 0xe7;
+  rep.bugs.push_back(bug);
+  rep.test_cases.push_back(bug.test_case);
+  rep.exit_codes = {0, 1};
+  rep.console = "ok";
+  return rep;
+}
+
+// The durable image of `st`, including the derived offer index.
+std::pair<std::vector<uint8_t>, std::set<std::vector<uint8_t>>> Image(
+    const CampaignDurableState& st) {
+  return {SerializeCheckpoint(st), st.seen_inputs};
+}
+
+// Every proper prefix of either record type is rejected, and a rejected
+// record leaves the state exactly as it was: the whole record decodes
+// before anything folds.
+TEST(ApplyRecordTest, RejectedPrefixLeavesStateUnchanged) {
+  const std::vector<uint8_t> records[] = {
+      SerializeFuzzAckRecord(SampleAck()),
+      SerializeSymexReportRecord(1, SampleReport())};
+  for (const auto& rec : records) {
+    for (size_t len = 0; len < rec.size(); ++len) {
+      auto st = SampleFuzzState();
+      const auto before = Image(st);
+      std::vector<uint8_t> cut(rec.begin(), rec.begin() + len);
+      EXPECT_FALSE(ApplyRecord(cut, &st).ok()) << "prefix " << len;
+      EXPECT_EQ(Image(st), before) << "prefix " << len;
+    }
+  }
+}
+
+// Journal records carry no CRC of their own (the journal frame's covers
+// them), so a flipped bit may decode to some other valid record. It must
+// never crash, and a rejected one must change nothing.
+TEST(ApplyRecordTest, ToleratesEverySingleBitFlip) {
+  const std::vector<uint8_t> records[] = {
+      SerializeFuzzAckRecord(SampleAck()),
+      SerializeSymexReportRecord(1, SampleReport())};
+  for (const auto& rec : records) {
+    for (size_t bit = 0; bit < rec.size() * 8; ++bit) {
+      auto corrupt = rec;
+      corrupt[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      auto st = SampleFuzzState();
+      const auto before = Image(st);
+      if (!ApplyRecord(corrupt, &st).ok()) {
+        EXPECT_EQ(Image(st), before) << "bit " << bit;
+      }
+    }
+  }
 }
 
 // --- CampaignPersistence recovery ------------------------------------------

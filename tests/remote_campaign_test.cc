@@ -10,7 +10,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +18,7 @@
 #include "firmware/corpus.h"
 #include "net/address.h"
 #include "periph/periph.h"
+#include "progress_trigger.h"
 #include "remote/remote_target.h"
 #include "remote/server.h"
 #include "rtl/elaborate.h"
@@ -133,6 +133,11 @@ TEST(RemoteCampaignTest, TargetFactoryDoesNotChangeTheFingerprint) {
             FuzzCampaignFingerprint(wired, image));
 }
 
+// Worker 0's Run calls before the server restart. Its 600 execs of the
+// 1,200-exec campaign make about 42,000 Runs, so the restart lands about a
+// quarter of the way in, whatever the speed of the host or the build.
+constexpr uint64_t kRunsBeforeRestart = 10000;
+
 TEST(RemoteCampaignTest, ServerRestartMidCampaignKeepsFindingsIdentical) {
   const std::string path = SocketPath("restart");
   auto addr = net::Address::Parse("unix:" + path);
@@ -149,23 +154,27 @@ TEST(RemoteCampaignTest, ServerRestartMidCampaignKeepsFindingsIdentical) {
       remote::TargetServer::Start(addr.value(), ServerSideSimFactory());
   ASSERT_TRUE(first.ok()) << first.status().ToString();
 
+  // Kill the server at a fixed point of worker 0's work, then bring a
+  // replacement up on the same address. Workers see kUnavailable,
+  // re-provision through the connect retry window and catch up by seed
+  // replay.
+  Result<std::unique_ptr<remote::TargetServer>> second =
+      InvalidArgument("server never restarted");
+  progress::Tripwire wire;
+  wire.at = kRunsBeforeRestart;
+  wire.action = [&] {
+    first.value()->Stop();
+    second = remote::TargetServer::Start(addr.value(), ServerSideSimFactory());
+  };
   FuzzCampaignOptions opts = BaseOptions(1200);
   opts.max_reprovisions = 8;
-  opts.target_factory = ConnectFactory(addr.value());
+  opts.target_factory =
+      progress::WithTripwire(ConnectFactory(addr.value()), &wire);
   FuzzCampaign campaign(Soc(), image, opts);
-  Result<CampaignReport> report = InvalidArgument("campaign never ran");
-  std::thread runner([&] { report = campaign.Run(); });
+  auto report = campaign.Run();
 
-  // Kill the server mid-campaign, then bring a replacement up on the same
-  // address. Workers see kUnavailable, re-provision through the connect
-  // retry window and catch up by seed replay.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  first.value()->Stop();
-  auto second =
-      remote::TargetServer::Start(addr.value(), ServerSideSimFactory());
+  ASSERT_TRUE(wire.fired);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  runner.join();
-
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // The kill must actually have been survived, not merely missed: at
   // least one worker lost its session and re-provisioned.

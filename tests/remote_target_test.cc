@@ -440,7 +440,7 @@ TEST(RemoteServerTest, MalformedRequestPayloadClosesTheSession) {
   // Framing is valid (header + payload CRC pass) but the batch payload
   // declares more ops than it carries — the request DECODER must refuse.
   ByteWriter w;
-  w.PutU32(1000);  // declared op count with no ops behind it
+  w.U32(1000);  // declared op count with no ops behind it
   ASSERT_TRUE(stream.Send(bus::Frame::kCommand, 1,
                           static_cast<uint32_t>(Op::kBatch), w.Take())
                   .ok());

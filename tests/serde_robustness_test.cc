@@ -69,13 +69,13 @@ TEST(SerdeRobustnessTest, StateRejectsTrailingBytes) {
 // instead of OOM-ing the host on the advertised allocation.
 TEST(SerdeRobustnessTest, ForgedHugeLengthFailsWithoutAllocating) {
   ByteWriter w;
-  w.PutU32(0x48535353);             // HSSS magic
-  w.PutU8(kStateFormatVersion);
-  w.PutU32(0xffffffffu);            // forged flop count: ~34 GB of u64s
+  w.U32(0x48535353);             // HSSS magic
+  w.U8(kStateFormatVersion);
+  w.U32(0xffffffffu);            // forged flop count: ~34 GB of u64s
   auto body = w.Take();
   const uint32_t crc = Crc32(body.data(), body.size());
   ByteWriter t;
-  t.PutU32(crc);
+  t.U32(crc);
   for (uint8_t b : t.Take()) body.push_back(b);
   auto r = DeserializeState(body);
   ASSERT_FALSE(r.ok());
@@ -117,23 +117,27 @@ TEST(SerdeRobustnessTest, CorruptBlobsReportDataLoss) {
 
 TEST(SerdeRobustnessTest, ByteReaderBoundsChecksVectorLengthBeforeAlloc) {
   ByteWriter w;
-  w.PutU32(0xffffffffu);  // declared count far beyond the payload
-  w.PutU64(1);
+  w.U32(0xffffffffu);  // declared count far beyond the payload
+  w.U64(1);
   auto bytes = w.Take();
   ByteReader r(bytes);
-  auto v = r.GetU64Vector();
-  ASSERT_FALSE(v.ok());
-  EXPECT_EQ(v.status().code(), StatusCode::kOutOfRange);
+  std::vector<uint64_t> v;
+  r.U64s(v);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(v.capacity(), 0u);
 }
 
 TEST(SerdeRobustnessTest, ByteReaderBoundsChecksStringLength) {
   ByteWriter w;
-  w.PutU32(100);  // declared string length, only 2 bytes follow
-  w.PutU8('h');
-  w.PutU8('i');
+  w.U32(100);  // declared string length, only 2 bytes follow
+  w.U8('h');
+  w.U8('i');
   auto bytes = w.Take();
   ByteReader r(bytes);
-  EXPECT_FALSE(r.GetString().ok());
+  std::string str;
+  r.Str(str);
+  EXPECT_FALSE(r.ok());
 }
 
 // --- format versioning -----------------------------------------------------
@@ -183,6 +187,39 @@ TEST(SerdeRobustnessTest, StoreRejectsUnknownFormatVersion) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_EQ(back.size(), 0u);
+}
+
+// Every count in a container is checked before anything is reserved, not
+// only the first: a forged memory count (HSSS) or memory-depth or chunk
+// count (HSSD) behind a valid CRC must fail as truncated too. A hardsnapd
+// client can send such a blob in a restore request.
+TEST(SerdeRobustnessTest, ForgedInnerCountsFailWithoutAllocating) {
+  auto sealed = [](ByteWriter w) {
+    w.U32(0);  // CRC placeholder
+    return WithFixedCrc(w.Take());
+  };
+  ByteWriter state;
+  state.U32(0x48535353);  // HSSS
+  state.U8(kStateFormatVersion);
+  state.U32(0);            // no flops
+  state.U32(0xffffffffu);  // forged memory count
+  auto r = DeserializeState(sealed(state));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+
+  for (bool forge_chunks : {false, true}) {
+    ByteWriter delta;
+    delta.U32(0x48535344);  // HSSD
+    delta.U8(kStateFormatVersion);
+    delta.U64(0);              // base hash
+    delta.U32(sim::kChunkWords);
+    delta.U32(0);              // no flops
+    delta.U32(forge_chunks ? 0 : 0xffffffffu);  // memory depths
+    delta.U32(0xffffffffu);                      // chunks
+    auto d = DeserializeStateDelta(sealed(delta));
+    ASSERT_FALSE(d.ok());
+    EXPECT_EQ(d.status().code(), StatusCode::kOutOfRange);
+  }
 }
 
 TEST(SerdeRobustnessTest, CurrentVersionBlobsStillDecode) {
@@ -281,9 +318,68 @@ TEST(SerdeRobustnessTest, ReplyToleratesEverySingleBitFlip) {
   }
 }
 
+remote::HelloInfo SampleHello() {
+  remote::HelloInfo info;
+  info.target_name = "sim-0";
+  info.target_kind = 1;
+  info.capabilities = remote::kCapDeltaSnapshots;
+  info.state_format_version = kStateFormatVersion;
+  info.shape_digest = 0x5eed;
+  return info;
+}
+
+remote::ServerStats SampleServerStats() {
+  remote::ServerStats stats;
+  stats.sessions_accepted = 4;
+  stats.rpcs = 1000;
+  stats.bytes_sent = 1 << 20;
+  return stats;
+}
+
+TEST(SerdeRobustnessTest,
+     HelloInfoAndServerStatsSurviveTruncationAtEveryLength) {
+  const auto hello = remote::EncodeHelloInfo(SampleHello());
+  ASSERT_TRUE(remote::DecodeHelloInfo(hello).ok());
+  for (size_t len = 0; len < hello.size(); ++len) {
+    std::vector<uint8_t> cut(hello.begin(), hello.begin() + len);
+    EXPECT_FALSE(remote::DecodeHelloInfo(cut).ok())
+        << "hello-info truncated to " << len << " bytes accepted";
+  }
+  const auto stats = remote::EncodeServerStats(SampleServerStats());
+  ASSERT_TRUE(remote::DecodeServerStats(stats).ok());
+  for (size_t len = 0; len < stats.size(); ++len) {
+    std::vector<uint8_t> cut(stats.begin(), stats.begin() + len);
+    EXPECT_FALSE(remote::DecodeServerStats(cut).ok())
+        << "server-stats truncated to " << len << " bytes accepted";
+  }
+}
+
+// Neither payload carries a CRC of its own (the frame's covers it), so a
+// flip may decode, but only to a message that encodes back to exactly the
+// flipped bytes: nothing is dropped or invented on the way.
+TEST(SerdeRobustnessTest, HelloInfoAndServerStatsTolerateEverySingleBitFlip) {
+  const auto hello = remote::EncodeHelloInfo(SampleHello());
+  for (size_t bit = 0; bit < hello.size() * 8; ++bit) {
+    auto corrupt = hello;
+    corrupt[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    auto r = remote::DecodeHelloInfo(corrupt);
+    if (r.ok()) {
+      EXPECT_EQ(remote::EncodeHelloInfo(r.value()), corrupt);
+    }
+  }
+  const auto stats = remote::EncodeServerStats(SampleServerStats());
+  for (size_t bit = 0; bit < stats.size() * 8; ++bit) {
+    auto corrupt = stats;
+    corrupt[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    auto r = remote::DecodeServerStats(corrupt);
+    ASSERT_TRUE(r.ok()) << "bit " << bit;  // every field is a plain u64
+    EXPECT_EQ(remote::EncodeServerStats(r.value()), corrupt);
+  }
+}
+
 TEST(SerdeRobustnessTest, ForgedBatchCountFailsWithoutAllocating) {
   ByteWriter w;
-  w.PutU32(0xffffffffu);  // ~56 GB of MmioOps declared, none present
+  w.U32(0xffffffffu);  // ~56 GB of MmioOps declared, none present
   auto r = remote::DecodeRequest(remote::Op::kBatch, w.Take());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
@@ -292,8 +388,8 @@ TEST(SerdeRobustnessTest, ForgedBatchCountFailsWithoutAllocating) {
 
 TEST(SerdeRobustnessTest, ForgedRestoreBlobLengthFailsWithoutAllocating) {
   ByteWriter w;
-  w.PutU32(0xfffffff0u);
-  w.PutU8(0);  // one actual byte behind a ~4 GB declaration
+  w.U32(0xfffffff0u);
+  w.U8(0);  // one actual byte behind a ~4 GB declaration
   auto r = remote::DecodeRequest(remote::Op::kRestoreState, w.Take());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -328,10 +424,10 @@ TEST(SerdeRobustnessTest, RequestRejectsHostileEnumValues) {
   EXPECT_FALSE(remote::DecodeRequest(static_cast<remote::Op>(99), {}).ok());
   // Batch op with an invalid kind byte.
   ByteWriter w;
-  w.PutU32(1);
-  w.PutU8(0xee);  // MmioOp kind
-  w.PutU32(0);
-  w.PutU64(0);
+  w.U32(1);
+  w.U8(0xee);  // MmioOp kind
+  w.U32(0);
+  w.U64(0);
   EXPECT_FALSE(remote::DecodeRequest(remote::Op::kBatch, w.Take()).ok());
   // Hello with the wrong magic.
   remote::Request hello;

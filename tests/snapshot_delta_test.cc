@@ -682,6 +682,24 @@ TEST(MalformedDeltaTest, PutDeltaLeavesTheStoreUnchanged) {
   }
 }
 
+// A rejected delta takes no snapshot id: ids stay dense, so the HSST image
+// of a store does not depend on how many deltas were refused on the way.
+TEST(MalformedDeltaTest, RejectedPutDeltaTakesNoId) {
+  Rng rng(23);
+  const HardwareState a = RandomState(&rng, 20, {10, 3});
+  snapshot::SnapshotStore store(0);
+  auto first = store.Put(a);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value(), 1u);
+  StateDelta wrong_base = TwoChunkDelta(a);
+  wrong_base.base_hash = sim::HashState(a) ^ 1;
+  EXPECT_EQ(store.PutDelta(first.value(), wrong_base).status().code(),
+            StatusCode::kInvalidArgument);
+  auto second = store.Put(a);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.value(), 2u);
+}
+
 // RestoreDelta truncates memory words to the memory's width, exactly as
 // RestoreState does (a remote kRestoreDelta decodes geometry, not widths).
 TEST(MalformedDeltaTest, RestoreDeltaTruncatesMemoryWordsToWidth) {
