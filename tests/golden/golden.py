@@ -3,9 +3,10 @@
 
 Runs the table-only pass (--benchmark_filter=XXX) of every E-table bench,
 keeping both its printed tables and its BENCH_<name>.json (which holds the
-modeled times to the picosecond), and a fixed matrix of `hardsnap run` /
-`hardsnap fuzz` commands. It strips the few fields that measure host time
-and compares the rest byte for byte with the files in this directory.
+modeled times to the picosecond), and a fixed matrix of `hardsnap run`,
+`hardsnap fuzz` and `hardsnap exec` commands. It strips the few fields that
+measure host time and compares the rest byte for byte with the files in
+this directory.
 
     golden.py --build BUILD_DIR            check (exit 1 on any difference)
     golden.py --build BUILD_DIR --regen    rewrite the golden files
@@ -26,6 +27,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
 FIRMWARE = "examples/firmware/vulnerable_parser.s"
+EXEC_TOUR = "tests/golden/exec_tour.s"
 
 # bench_checkpoint and bench_remote_target print wall-clock tables only.
 BENCHES = [
@@ -49,6 +51,16 @@ def cli_cases():
             cases.append((f"fuzz workers={workers} seed={seed}", [
                 "fuzz", FIRMWARE, f"--workers={workers}", f"--seed={seed}"]))
     cases.append(("fuzz fpga", ["fuzz", FIRMWARE, "--target=fpga"]))
+    for target in ("sim", "fpga"):
+        for firmware in (FIRMWARE, EXEC_TOUR):
+            name = os.path.basename(firmware)
+            cases.append((f"exec {name} {target}",
+                          ["exec", firmware, f"--target={target}"]))
+        cases.append((f"exec {os.path.basename(EXEC_TOUR)} {target} budget",
+                      ["exec", EXEC_TOUR, f"--target={target}",
+                       "--max-instr=500"]))
+        cases.append((f"run {os.path.basename(EXEC_TOUR)} {target} --json",
+                      ["run", EXEC_TOUR, f"--target={target}", "--json"]))
     return cases
 
 
