@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/crc32.h"
+#include "common/serde.h"
 
 namespace hardsnap::net {
 
@@ -17,13 +18,14 @@ Status FrameStream::Send(uint8_t kind, uint32_t seq, uint32_t op,
   header.seq = seq;
   header.addr = op;
   header.value = static_cast<uint32_t>(payload.size());
-  std::vector<uint8_t> wire = header.Encode();
+  const std::vector<uint8_t> encoded = header.Encode();
+  ByteWriter w;
+  w.Raw(encoded.data(), encoded.size());
   if (!payload.empty()) {
-    wire.insert(wire.end(), payload.begin(), payload.end());
-    const uint32_t crc = Crc32(payload);
-    for (int i = 0; i < 4; ++i)
-      wire.push_back(static_cast<uint8_t>(crc >> (8 * i)));
+    w.Raw(payload.data(), payload.size());
+    w.U32(Crc32(payload));
   }
+  const std::vector<uint8_t>& wire = w.bytes();
   HS_RETURN_IF_ERROR(socket_.SendAll(wire.data(), wire.size()));
   bytes_sent_ += wire.size();
   return Status::Ok();
@@ -80,8 +82,7 @@ Result<Message> FrameStream::Recv(int header_timeout_ms,
       stalled(socket_.RecvAll(crc_bytes, sizeof crc_bytes, timeout_ms)));
   bytes_received_ += payload_len + sizeof crc_bytes;
   uint32_t want = 0;
-  for (int i = 0; i < 4; ++i)
-    want |= static_cast<uint32_t>(crc_bytes[i]) << (8 * i);
+  ByteReader(crc_bytes, sizeof crc_bytes).U32(want);
   if (Crc32(msg.payload) != want)
     return DataLoss("payload CRC mismatch on " +
                     std::to_string(payload_len) + "-byte message");

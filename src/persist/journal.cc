@@ -7,6 +7,32 @@
 
 namespace hardsnap::persist {
 
+namespace {
+
+// The frame layout of journal.h, for Append and Replay alike. A frame that
+// does not read (a length past the cap or the file, a short read, a CRC
+// mismatch) is a torn tail.
+template <class Io, RecordOf<std::vector<uint8_t>> T>
+void XferFrame(Io& io, T& payload) {
+  uint32_t len = static_cast<uint32_t>(payload.size());
+  uint32_t crc = Crc32(payload.data(), payload.size());
+  io.U32(len);
+  io.U32(crc);
+  if constexpr (Io::kReading) {
+    io.Require(len <= kMaxJournalRecordBytes && len <= io.remaining(),
+               "journal frame length");
+    if (io.ok()) payload.resize(len);
+  }
+  io.Raw(payload.data(), len);
+  io.Check([&] {
+    return Crc32(payload.data(), payload.size()) == crc
+               ? Status::Ok()
+               : DataLoss("journal frame CRC mismatch");
+  });
+}
+
+}  // namespace
+
 Result<JournalReplay> Journal::Replay() {
   JournalReplay out;
   if (!FileExists(path_)) return out;
@@ -14,20 +40,15 @@ Result<JournalReplay> Journal::Replay() {
   if (!bytes.ok()) return bytes.status();
   const std::vector<uint8_t>& buf = bytes.value();
 
-  size_t pos = 0;
-  while (buf.size() - pos >= 8) {
-    uint32_t len = 0, crc = 0;
-    for (int i = 0; i < 4; ++i) len |= uint32_t{buf[pos + i]} << (8 * i);
-    for (int i = 0; i < 4; ++i) crc |= uint32_t{buf[pos + 4 + i]} << (8 * i);
-    if (len > kMaxJournalRecordBytes) break;      // garbage length: torn tail
-    if (buf.size() - pos - 8 < len) break;        // payload cut short
-    const uint8_t* payload = buf.data() + pos + 8;
-    if (Crc32(payload, len) != crc) break;        // payload corrupted
-    out.records.emplace_back(payload, payload + len);
-    pos += 8 + size_t{len};
+  ByteReader r(buf);
+  while (r.remaining() > 0) {
+    std::vector<uint8_t> payload;
+    XferFrame(r, payload);
+    if (!r.ok()) break;  // the first frame that does not read ends the log
+    out.records.push_back(std::move(payload));
+    out.valid_bytes = buf.size() - r.remaining();
   }
-  out.valid_bytes = pos;
-  out.truncated_bytes = buf.size() - pos;
+  out.truncated_bytes = buf.size() - out.valid_bytes;
   if (out.truncated_bytes > 0) {
     // Amputate the torn tail so the next append produces a well-formed
     // file. The truncation must be durable before anything is appended
@@ -43,9 +64,7 @@ Status Journal::Append(const std::vector<uint8_t>& payload, bool sync) {
     return InvalidArgument("journal record exceeds the frame size limit");
   MaybeCrash("journal.append.before");
   ByteWriter frame;
-  frame.U32(static_cast<uint32_t>(payload.size()));
-  frame.U32(Crc32(payload.data(), payload.size()));
-  frame.Raw(payload.data(), payload.size());
+  XferFrame(frame, payload);
   const std::vector<uint8_t>& bytes = frame.bytes();
   if (ShouldCrashAt("journal.append.torn")) {
     // Simulate a crash mid-write: half the frame reaches the disk. The

@@ -1,10 +1,13 @@
 // The selective symbolic virtual machine (paper Sec. III-B / IV-B).
 //
-// Interprets RV32IM firmware over solver terms, forwarding MMIO-window
-// accesses to a hardware target, forking on symbolic branch conditions,
-// and — the paper's contribution — keeping every software state paired
-// with its own hardware snapshot via the hardware context switch of
-// Algorithm 1:
+// Interprets RV32IM firmware over solver terms by running the instruction
+// semantics of vm/execute.h (shared with the concrete vm::Cpu) over
+// BvContext terms. Its own parts are the term arithmetic (div and rem built
+// from magnitudes), the byte-granular memory overlay, fetch, concretization
+// and forking, and the bug hooks. It forwards MMIO-window accesses to a
+// hardware target, forks on symbolic branch conditions and — the paper's
+// contribution — keeps every software state paired with its own hardware
+// snapshot via the hardware context switch of Algorithm 1:
 //
 //     S = SelectNextState(AS, S_previous)
 //     if S_previous != ∅ and S != S_previous:
@@ -46,7 +49,6 @@
 #include "symex/searcher.h"
 #include "symex/state.h"
 #include "vm/assembler.h"
-#include "vm/isa.h"
 
 namespace hardsnap::symex {
 
@@ -184,16 +186,10 @@ class Executor {
  private:
   using TermId = solver::TermId;
 
-  // --- memory ---------------------------------------------------------
-  TermId LoadByte(State& s, uint32_t addr);
-  void StoreByte(State& s, uint32_t addr, TermId value);
-  Result<TermId> LoadWidth(State& s, uint32_t addr, unsigned bytes);
-  Result<uint32_t> FetchWord(State& s);
-
   // --- execution -------------------------------------------------------
-  Status ExecuteInstruction(State& s, Report* report);
-  Status ExecMemOp(State& s, const vm::Instruction& in, Report* report);
-  void ServePendingInterrupt(State& s, Report* report);
+  struct Hart;  // a state as vm::Execute sees it (executor.cc)
+  // Serves a pending interrupt, then fetches and executes one instruction.
+  Status Step(State& s, Report* report);
   void FlagBug(State& s, const std::string& kind, const std::string& detail,
                Report* report);
   void FinishPath(State& s, Report* report);

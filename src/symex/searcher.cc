@@ -22,7 +22,7 @@ namespace {
 // inside an interrupt handler, stick with it.
 bool MustKeepPrevious(const State* previous) {
   return previous != nullptr && previous->status == StateStatus::kRunning &&
-         previous->in_interrupt;
+         previous->csr.in_interrupt;
 }
 
 class DfsSearcher : public Searcher {

@@ -16,6 +16,7 @@
 
 #include "snapshot/hw_state_tracker.h"
 #include "solver/term.h"
+#include "vm/isa.h"
 
 namespace hardsnap::symex {
 
@@ -47,11 +48,7 @@ struct State {
   std::map<uint32_t, solver::TermId> mem;
 
   // Machine-mode CSRs (concrete; interrupt plumbing only).
-  uint32_t mstatus = 0;
-  uint32_t mtvec = 0;
-  uint32_t mepc = 0;
-  uint32_t mcause = 0;
-  bool in_interrupt = false;  // Inception-style atomic interrupt handling
+  vm::MachineCsrs csr;
 
   // Path condition: conjunction of 1-bit terms.
   std::vector<solver::TermId> constraints;
@@ -78,9 +75,6 @@ struct State {
     child->hw = {};
     return child;
   }
-  State() = default;
-  State(const State&) = default;
-  State& operator=(const State&) = default;
 };
 
 }  // namespace hardsnap::symex

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <optional>
+#include <string_view>
 
 #include "vm/isa.h"
 
@@ -131,6 +132,42 @@ std::optional<uint32_t> CsrByName(const std::string& name) {
   return std::nullopt;
 }
 
+// Pseudo-instructions that stand for one real instruction, spelled with
+// their own operands as $0 and $1. li and la, which may take two, are
+// expanded by the assembler itself.
+struct Alias {
+  std::string_view name;
+  size_t operands;
+  const char* expansion;
+};
+constexpr Alias kAliases[] = {
+    {"nop", 0, "addi zero, zero, 0"}, {"mv", 2, "addi $0, $1, 0"},
+    {"j", 1, "jal zero, $0"},         {"call", 1, "jal ra, $0"},
+    {"jr", 1, "jalr zero, 0($0)"},    {"ret", 0, "jalr zero, 0(ra)"},
+    {"beqz", 2, "beq $0, zero, $1"},  {"bnez", 2, "bne $0, zero, $1"},
+    {"csrr", 2, "csrrs $0, $1, zero"}, {"csrw", 2, "csrrw zero, $0, $1"},
+};
+
+// Rewrites a pseudo-instruction of kAliases into the instruction it stands
+// for; leaves anything else as it is.
+Status ExpandAlias(int line, std::string* mnemonic,
+                   std::vector<std::string>* operands) {
+  for (const Alias& alias : kAliases) {
+    if (*mnemonic != alias.name) continue;
+    if (operands->size() != alias.operands)
+      return ErrAt(line, *mnemonic + " expects " +
+                             std::to_string(alias.operands) + " operands");
+    std::string text = alias.expansion;
+    for (size_t i = 0; i < alias.operands; ++i)
+      text.replace(text.find('$' + std::to_string(i)), 2, (*operands)[i]);
+    const size_t space = text.find(' ');
+    *mnemonic = text.substr(0, space);
+    *operands = SplitOperands(text.substr(space + 1));
+    break;
+  }
+  return Status::Ok();
+}
+
 class Assembler {
  public:
   explicit Assembler(uint32_t base) : base_(base) {}
@@ -198,13 +235,14 @@ class Assembler {
         size_t sp = line.find_first_of(" \t");
         pl.mnemonic = line.substr(0, sp);
         for (auto& c : pl.mnemonic) c = static_cast<char>(std::tolower(c));
-        if (sp != std::string::npos) {
-          for (const std::string& tok : SplitOperands(line.substr(sp + 1))) {
-            if (tok.empty()) return ErrAt(number, "empty operand");
-            auto op = ParseOperand(tok, number);
-            if (!op.ok()) return op.status();
-            pl.operands.push_back(std::move(op).value());
-          }
+        std::vector<std::string> toks;
+        if (sp != std::string::npos) toks = SplitOperands(line.substr(sp + 1));
+        HS_RETURN_IF_ERROR(ExpandAlias(number, &pl.mnemonic, &toks));
+        for (const std::string& tok : toks) {
+          if (tok.empty()) return ErrAt(number, "empty operand");
+          auto op = ParseOperand(tok, number);
+          if (!op.ok()) return op.status();
+          pl.operands.push_back(std::move(op).value());
         }
       }
       lines_.push_back(std::move(pl));
@@ -261,13 +299,6 @@ class Assembler {
     if (!word.ok())
       return ErrAt(line, "encode failed: " + word.status().ToString());
     return EmitWord(word.value());
-  }
-
-  // Branch/jump displacement to a target operand.
-  Result<int32_t> Displacement(const Operand& op, int line) {
-    auto target = ImmOrSymbol(op, line);
-    if (!target.ok()) return target.status();
-    return static_cast<int32_t>(target.value() - static_cast<int64_t>(pc_));
   }
 
   Status EmitLi(uint8_t rd, int64_t value, int line) {
@@ -328,138 +359,48 @@ class Assembler {
       return Status::Ok();
     }
 
-    // --- pseudo-instructions -------------------------------------------
-    if (m == "nop") return EmitInstr({Opcode::kAddi, 0, 0, 0, 0, 0}, line);
-    if (m == "mv") {
-      HS_RETURN_IF_ERROR(need(2));
-      return EmitInstr({Opcode::kAddi, reg(0), reg(1), 0, 0, 0}, line);
-    }
+    // --- li and la: one or two instructions ----------------------------
     if (m == "li" || m == "la") {
       HS_RETURN_IF_ERROR(need(2));
       auto v = ImmOrSymbol(ops[1], line);
       if (!v.ok()) return v.status();
       return EmitLi(reg(0), v.value(), line);
     }
-    if (m == "j") {
-      HS_RETURN_IF_ERROR(need(1));
-      auto d = Displacement(ops[0], line);
-      if (!d.ok()) return d.status();
-      return EmitInstr({Opcode::kJal, 0, 0, 0, d.value(), 0}, line);
-    }
-    if (m == "call") {
-      HS_RETURN_IF_ERROR(need(1));
-      auto d = Displacement(ops[0], line);
-      if (!d.ok()) return d.status();
-      return EmitInstr({Opcode::kJal, 1, 0, 0, d.value(), 0}, line);
-    }
-    if (m == "jr") {
-      HS_RETURN_IF_ERROR(need(1));
-      return EmitInstr({Opcode::kJalr, 0, reg(0), 0, 0, 0}, line);
-    }
-    if (m == "ret") return EmitInstr({Opcode::kJalr, 0, 1, 0, 0, 0}, line);
-    if (m == "beqz" || m == "bnez") {
-      HS_RETURN_IF_ERROR(need(2));
-      auto d = Displacement(ops[1], line);
-      if (!d.ok()) return d.status();
-      return EmitInstr({m == "beqz" ? Opcode::kBeq : Opcode::kBne, 0, reg(0),
-                        0, d.value(), 0},
-                       line);
-    }
-    if (m == "csrr") {  // csrr rd, csr
-      HS_RETURN_IF_ERROR(need(2));
-      auto csr = CsrByName(ops[1].symbol);
-      if (!csr) return ErrAt(line, "unknown CSR");
-      Instruction in{Opcode::kCsrrs, reg(0), 0, 0, 0, *csr};
-      return EmitInstr(in, line);
-    }
-    if (m == "csrw") {  // csrw csr, rs
-      HS_RETURN_IF_ERROR(need(2));
-      auto csr = CsrByName(ops[0].symbol);
-      if (!csr) return ErrAt(line, "unknown CSR");
-      Instruction in{Opcode::kCsrrw, 0, reg(1), 0, 0, *csr};
-      return EmitInstr(in, line);
-    }
 
-    // --- simple no-operand instructions -------------------------------
-    if (m == "ecall") return EmitInstr({Opcode::kEcall, 0, 0, 0, 0, 0}, line);
-    if (m == "ebreak") return EmitInstr({Opcode::kEbreak, 0, 0, 0, 0, 0}, line);
-    if (m == "mret") return EmitInstr({Opcode::kMret, 0, 0, 0, 0, 0}, line);
-    if (m == "wfi") return EmitInstr({Opcode::kWfi, 0, 0, 0, 0, 0}, line);
-
-    // --- real instructions by operand pattern ---------------------------
-    static const std::map<std::string, Opcode> r_type = {
-        {"add", Opcode::kAdd}, {"sub", Opcode::kSub}, {"sll", Opcode::kSll},
-        {"slt", Opcode::kSlt}, {"sltu", Opcode::kSltu}, {"xor", Opcode::kXor},
-        {"srl", Opcode::kSrl}, {"sra", Opcode::kSra}, {"or", Opcode::kOr},
-        {"and", Opcode::kAnd}, {"mul", Opcode::kMul}, {"mulh", Opcode::kMulh},
-        {"mulhsu", Opcode::kMulhsu}, {"mulhu", Opcode::kMulhu},
-        {"div", Opcode::kDiv}, {"divu", Opcode::kDivu},
-        {"rem", Opcode::kRem}, {"remu", Opcode::kRemu}};
-    static const std::map<std::string, Opcode> i_type = {
-        {"addi", Opcode::kAddi}, {"slti", Opcode::kSlti},
-        {"sltiu", Opcode::kSltiu}, {"xori", Opcode::kXori},
-        {"ori", Opcode::kOri}, {"andi", Opcode::kAndi},
-        {"slli", Opcode::kSlli}, {"srli", Opcode::kSrli},
-        {"srai", Opcode::kSrai}};
-    static const std::map<std::string, Opcode> load_type = {
-        {"lb", Opcode::kLb}, {"lh", Opcode::kLh}, {"lw", Opcode::kLw},
-        {"lbu", Opcode::kLbu}, {"lhu", Opcode::kLhu}};
-    static const std::map<std::string, Opcode> store_type = {
-        {"sb", Opcode::kSb}, {"sh", Opcode::kSh}, {"sw", Opcode::kSw}};
-    static const std::map<std::string, Opcode> branch_type = {
-        {"beq", Opcode::kBeq}, {"bne", Opcode::kBne}, {"blt", Opcode::kBlt},
-        {"bge", Opcode::kBge}, {"bltu", Opcode::kBltu},
-        {"bgeu", Opcode::kBgeu}};
-
-    if (auto it = r_type.find(m); it != r_type.end()) {
-      HS_RETURN_IF_ERROR(need(3));
-      return EmitInstr({it->second, reg(0), reg(1), reg(2), 0, 0}, line);
+    // --- real instructions, by the operand syntax of their format ------
+    const std::optional<Opcode> op = FindMnemonic(m);
+    if (!op) return ErrAt(line, "unknown mnemonic '" + m + "'");
+    const std::string_view syntax = OperandSyntax(Info(*op).format);
+    HS_RETURN_IF_ERROR(need(syntax.size()));
+    Instruction in{*op, 0, 0, 0, 0, 0};
+    for (size_t i = 0; i < syntax.size(); ++i) {
+      const Operand& o = ops[i];
+      switch (syntax[i]) {
+        case 'd': in.rd = o.reg; break;
+        case 's': in.rs1 = o.reg; break;
+        case 't': in.rs2 = o.reg; break;
+        case 'm':
+          if (o.kind != Operand::kMem)
+            return ErrAt(line, m + " needs an offset(base) operand");
+          in.rs1 = o.reg;
+          in.imm = static_cast<int32_t>(o.imm);
+          break;
+        case 'c': {
+          auto csr = CsrByName(o.symbol);
+          if (!csr) return ErrAt(line, "unknown CSR");
+          in.csr = *csr;
+          break;
+        }
+        default: {  // i, u, b: an immediate or a label
+          auto v = ImmOrSymbol(o, line);
+          if (!v.ok()) return v.status();
+          const auto bits = static_cast<uint32_t>(
+              v.value() - (syntax[i] == 'b' ? int64_t{pc_} : 0));
+          in.imm = static_cast<int32_t>(syntax[i] == 'u' ? bits << 12 : bits);
+        }
+      }
     }
-    if (auto it = i_type.find(m); it != i_type.end()) {
-      HS_RETURN_IF_ERROR(need(3));
-      auto v = ImmOrSymbol(ops[2], line);
-      if (!v.ok()) return v.status();
-      return EmitInstr(
-          {it->second, reg(0), reg(1), 0, static_cast<int32_t>(v.value()), 0},
-          line);
-    }
-    if (auto it = load_type.find(m); it != load_type.end()) {
-      HS_RETURN_IF_ERROR(need(2));
-      if (ops[1].kind != Operand::kMem)
-        return ErrAt(line, "load needs offset(base) operand");
-      return EmitInstr({it->second, reg(0), ops[1].reg, 0,
-                        static_cast<int32_t>(ops[1].imm), 0},
-                       line);
-    }
-    if (auto it = store_type.find(m); it != store_type.end()) {
-      HS_RETURN_IF_ERROR(need(2));
-      if (ops[1].kind != Operand::kMem)
-        return ErrAt(line, "store needs offset(base) operand");
-      return EmitInstr({it->second, 0, ops[1].reg, reg(0),
-                        static_cast<int32_t>(ops[1].imm), 0},
-                       line);
-    }
-    if (auto it = branch_type.find(m); it != branch_type.end()) {
-      HS_RETURN_IF_ERROR(need(3));
-      auto d = Displacement(ops[2], line);
-      if (!d.ok()) return d.status();
-      return EmitInstr({it->second, 0, reg(0), reg(1), d.value(), 0}, line);
-    }
-    if (m == "jal") {  // jal rd, target
-      HS_RETURN_IF_ERROR(need(2));
-      auto d = Displacement(ops[1], line);
-      if (!d.ok()) return d.status();
-      return EmitInstr({Opcode::kJal, reg(0), 0, 0, d.value(), 0}, line);
-    }
-    if (m == "jalr") {  // jalr rd, offset(rs1)
-      HS_RETURN_IF_ERROR(need(2));
-      if (ops[1].kind != Operand::kMem)
-        return ErrAt(line, "jalr needs offset(base) operand");
-      return EmitInstr({Opcode::kJalr, reg(0), ops[1].reg, 0,
-                        static_cast<int32_t>(ops[1].imm), 0},
-                       line);
-    }
-    return ErrAt(line, "unknown mnemonic '" + m + "'");
+    return EmitInstr(in, line);
   }
 
   uint32_t base_;

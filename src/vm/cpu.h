@@ -1,8 +1,11 @@
 // Concrete RV32IM CPU model.
 //
-// The fast path for concrete workloads (fuzzing, firmware bring-up,
-// differential testing of the symbolic executor). Shares the decoder and
-// memory map with the symbolic VM but executes over plain uint32_t.
+// The fast path for concrete workloads (fuzzing, firmware bring-up). It runs
+// the instruction semantics of vm/execute.h, which the symbolic executor
+// shares, over plain uint32_t; its own are the native arithmetic, the byte
+// store, fetch and the coverage log. Because its arithmetic is native, it is
+// the reference the differential test holds the executor's term arithmetic
+// to.
 //
 // Like the symbolic executor, MMIO-window accesses are forwarded to a
 // HardwareTarget and the hardware advances `cycles_per_instruction` per
@@ -27,8 +30,7 @@ namespace hardsnap::vm {
 struct CpuState {
   std::array<uint32_t, 32> regs{};
   uint32_t pc = 0;
-  uint32_t mstatus = 0, mtvec = 0, mepc = 0, mcause = 0;
-  bool in_interrupt = false;
+  MachineCsrs csr;
   std::vector<uint8_t> ram;  // kRamSize bytes
   uint64_t icount = 0;
 };
@@ -70,13 +72,8 @@ class Cpu {
 
   // --- direct access ---------------------------------------------------
   uint32_t reg(unsigned i) const { return state_.regs[i]; }
-  void set_reg(unsigned i, uint32_t v) {
-    if (i != 0) state_.regs[i] = v;
-  }
   uint32_t pc() const { return state_.pc; }
-  void set_pc(uint32_t pc) { state_.pc = pc; }
   Status WriteRam(uint32_t addr, const std::vector<uint8_t>& bytes);
-  Result<uint8_t> ReadRam(uint32_t addr) const;
   const std::string& console() const { return console_; }
 
   // Basic-block-entry coverage observed since construction (for the
@@ -85,11 +82,7 @@ class Cpu {
   void ClearCoverageLog() { coverage_log_.clear(); }
 
  private:
-  Result<uint32_t> Load(uint32_t addr, unsigned bytes);
-  Status Store(uint32_t addr, uint32_t value, unsigned bytes,
-               RunOutcome* outcome);
-  void ServeInterrupt();
-  void NoteEdge(uint32_t target_pc) { coverage_log_.push_back(target_pc); }
+  struct Hart;  // this CPU as vm::Execute sees it (cpu.cc)
 
   bus::HardwareTarget* target_;
   unsigned cycles_per_instruction_;
